@@ -268,6 +268,8 @@ pub struct Sim {
     /// Streaming-statistics accumulator ([`SimConfig::streaming_stats`]):
     /// completed flows fold into quantile sketches at completion time.
     pub(crate) streaming: Option<Box<StreamingStats>>,
+    /// Completions awaiting delivery to the [`App`]; filled only while one
+    /// is installed, so runs without an `App` keep it empty.
     pub(crate) completed_buf: Vec<FlowId>,
     /// Fluid background-traffic solver (hybrid model); `None` — the pure
     /// packet simulator — keeps every coupling hook to one branch.
@@ -458,7 +460,8 @@ impl Sim {
         false
     }
 
-    /// Install a closed-loop application driver.
+    /// Install a closed-loop application driver. It sees completions from
+    /// here on; flows that completed earlier are not replayed to it.
     pub fn set_app(&mut self, app: Box<dyn App>) {
         self.app = Some(app);
     }
@@ -1595,7 +1598,9 @@ impl Sim {
                 if let Some(st) = self.streaming.as_deref_mut() {
                     st.on_complete(&flow.record, now);
                 }
-                self.completed_buf.push(fid);
+                if self.app.is_some() {
+                    self.completed_buf.push(fid);
+                }
             }
             (fl.recv.cum, nack)
         };
@@ -1917,5 +1922,72 @@ mod tests {
             "Entry<Event> grew to {} bytes",
             std::mem::size_of::<simcore::Entry<Event>>()
         );
+    }
+
+    /// Sends the whole flow back to back; finished once every byte is ACKed.
+    #[derive(Clone)]
+    struct Blast {
+        size: u64,
+        sent: u64,
+        acked: u64,
+    }
+
+    impl Transport for Blast {
+        fn clone_box(&self) -> Box<dyn Transport> {
+            Box::new(self.clone())
+        }
+        fn on_start(&mut self, _ctx: &mut TransportCtx<'_>) {}
+        fn on_ack(&mut self, ack: &AckEvent, _ctx: &mut TransportCtx<'_>) {
+            if ack.kind == AckKind::Data {
+                self.acked += ack.acked_bytes as u64;
+            }
+        }
+        fn on_timer(&mut self, _token: u64, _ctx: &mut TransportCtx<'_>) {}
+        fn try_send(&mut self, _now: Time) -> TrySend {
+            if self.acked >= self.size {
+                TrySend::Finished
+            } else if self.sent >= self.size {
+                TrySend::Blocked
+            } else {
+                TrySend::Data {
+                    seq: self.sent,
+                    bytes: (self.size - self.sent).min(1000) as u32,
+                }
+            }
+        }
+        fn on_sent(&mut self, sent: TrySend, _ctx: &mut TransportCtx<'_>) {
+            if let TrySend::Data { bytes, .. } = sent {
+                self.sent += bytes as u64;
+            }
+        }
+        fn is_finished(&self) -> bool {
+            self.acked >= self.size
+        }
+        fn cwnd_bytes(&self) -> f64 {
+            self.size as f64
+        }
+    }
+
+    /// Without an `App` nothing consumes completions, so none may be
+    /// buffered: a streaming run would otherwise keep one id per flow.
+    #[test]
+    fn completions_are_not_buffered_without_an_app() {
+        let topo = Topology::single_switch(8, Rate::from_gbps(100), Time::from_us(1));
+        let mut sim = Sim::new(&topo, SimConfig::default(), SwitchConfig::default());
+        for i in 0..400u64 {
+            let spec = FlowSpec::new(1 + (i % 8) as NodeId, 0, 4000, Time::from_ns(200 * i));
+            sim.add_flow(spec, |_| {
+                Box::new(Blast {
+                    size: 4000,
+                    sent: 0,
+                    acked: 0,
+                })
+            });
+        }
+        let end = sim.cfg.end_time;
+        sim.run_until(end);
+        assert!(sim.flows.iter().all(|f| f.record.finish.is_some()));
+        assert!(sim.completed_buf.is_empty());
+        assert_eq!(sim.completed_buf.capacity(), 0);
     }
 }

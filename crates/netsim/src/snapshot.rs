@@ -71,7 +71,6 @@ pub struct SimSnapshot {
     nc_rng: SimRng,
     lossy: bool,
     streaming: Option<Box<StreamingStats>>,
-    completed_buf: Vec<FlowId>,
     fluid: Option<Box<FluidState>>,
     fluid_epoch: Option<ScheduledId>,
     faults: Option<Box<FaultRuntime>>,
@@ -139,7 +138,6 @@ impl Sim {
             nc_rng: self.nc_rng.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
             lossy: self.lossy,
             streaming: self.streaming.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            completed_buf: self.completed_buf.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
             fluid: self.fluid.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
             fluid_epoch: self.fluid_epoch,
             faults: self.faults.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
@@ -180,7 +178,9 @@ impl Sim {
             app: None,
             arrivals: None,
             streaming: snap.streaming.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
-            completed_buf: snap.completed_buf.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
+            // Buffered only while an `App` is installed, which `snapshot`
+            // refuses, so it was empty when the snapshot was taken.
+            completed_buf: Vec::new(),
             fluid: snap.fluid.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)
             fluid_epoch: snap.fluid_epoch,
             faults: snap.faults.clone(), // simlint::allow(hot-path-alloc, snapshot/restore is an explicit cold path, never per event)

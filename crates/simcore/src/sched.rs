@@ -16,6 +16,11 @@
 //!   RTO/pacing timers share a common horizon. The default: fastest
 //!   end-to-end on every simbench scenario post-arena (`event_queue` 247 ms
 //!   vs 442 ms for the binary heap; `incast_prioplus` 135 ms vs 148 ms).
+//!   The day width is 3× the min→max span of *all* stored entries over
+//!   their count, so a far-future entry (a run's `End`, a long RTO) widens
+//!   every day. Memory tracks the pending set: a pop that empties a bucket
+//!   frees its allocation, so buckets do not keep the capacity of the
+//!   densest day they ever held.
 //!
 //! # Contract
 //!
@@ -456,8 +461,13 @@ impl<E> Scheduler<E> for QuadHeapSched<E> {
 /// and pop in `seq` order.
 ///
 /// The queue resizes when the entry count drifts outside `[nbuckets/4,
-/// 2*nbuckets]`, re-deriving the bucket width from the current min→max event
-/// span (≈3× the mean gap). Resize rebuilds in O(n).
+/// 2*nbuckets]`, re-deriving the day width as 3× (max − min) / count over
+/// *every* stored entry. Resize rebuilds in O(n).
+///
+/// Memory tracks the pending set, not simulated time: a pop that empties a
+/// bucket holding more than `RECLAIM_CAP` (16) entries of capacity frees it.
+/// Without that, each bucket would keep the capacity of the densest day it
+/// ever held, and a long run would sweep every bucket dense once.
 #[derive(Debug)]
 pub struct CalendarQueue<E> {
     /// Each bucket sorted descending by `(at, seq)`; `last()` is its min.
@@ -476,6 +486,9 @@ pub struct CalendarQueue<E> {
 const MIN_BUCKETS: usize = 4;
 /// Initial day width: 1 µs in ps (immediately re-derived on first resize).
 const INITIAL_WIDTH_PS: u64 = 1_000_000;
+/// Most capacity (in entries) an empty bucket may keep; a pop that empties
+/// a larger bucket gives its allocation back.
+const RECLAIM_CAP: usize = 16;
 
 impl<E> CalendarQueue<E> {
     /// Empty backend.
@@ -535,8 +548,17 @@ impl<E> CalendarQueue<E> {
         best.map(|(_, _, i)| i)
     }
 
+    /// Free bucket `i`'s allocation if it is empty and over `RECLAIM_CAP`.
+    #[inline]
+    fn reclaim(&mut self, i: usize) {
+        let b = &mut self.buckets[i];
+        if b.is_empty() && b.capacity() > RECLAIM_CAP {
+            *b = Vec::new();
+        }
+    }
+
     /// Rebuild with a bucket count proportional to the entry count and a
-    /// day width of about 3× the mean inter-event gap.
+    /// day width of 3× the min→max span over the entry count.
     fn resize(&mut self) {
         let target = self
             .count
@@ -590,6 +612,7 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
         let i = self.locate_min()?;
         // simlint::allow(hot-path-unwrap, locate_min only returns non-empty buckets)
         let e = self.buckets[i].pop().expect("locate_min found this bucket");
+        self.reclaim(i);
         self.count -= 1;
         self.last_ps = e.at.as_ps();
         if self.nbuckets > MIN_BUCKETS && 4 * self.count < self.nbuckets {
@@ -625,6 +648,7 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
                 None => break,
             }
         }
+        self.reclaim(i);
         self.count -= popped;
         self.last_ps = at.as_ps();
         if self.nbuckets > MIN_BUCKETS && 4 * self.count < self.nbuckets {
@@ -658,6 +682,12 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
         }
         let mut n = 0usize;
         for (i, b) in self.buckets.iter().enumerate() {
+            if b.is_empty() && b.capacity() > RECLAIM_CAP {
+                return Err(format!(
+                    "empty bucket {i} retains capacity {} > {RECLAIM_CAP}",
+                    b.capacity()
+                ));
+            }
             n += b.len();
             for e in b {
                 if self.bucket_of(e.at.as_ps()) != i {
@@ -808,6 +838,81 @@ mod tests {
         assert!(s.nbuckets <= 16, "shrank to {}", s.nbuckets);
         s.check_backend().unwrap();
         drains_sorted(&mut s);
+    }
+
+    /// The k=8 fabric's queue shape at unit-test scale: a dense cluster of
+    /// near-term packet events advancing through time, one far-future
+    /// `End`, and an RTO timer re-armed on every 16th packet event (the
+    /// superseded timer stays queued, as a cancelled tombstone does, until
+    /// its day comes). The `End` stretches the day to ≈0.9 µs, so the 2 µs
+    /// cluster spans a few buckets and the run sweeps ≈500 dense days.
+    /// The buckets' retained capacity must track the pending set: at most
+    /// 4 slots per peak pending entry (2× for `Vec` doubling, 2× for buckets
+    /// that shrank without emptying) plus `RECLAIM_CAP` per bucket, the most
+    /// an empty bucket may keep. Without reclamation it tracks the number of
+    /// entries ever pushed instead.
+    #[test]
+    fn calendar_capacity_tracks_pending_set() {
+        const PACKET: u64 = 0;
+        const RTO: u64 = 1;
+        const END: u64 = 2;
+        const CLUSTER: u64 = 2048;
+        const SPREAD_PS: u64 = 2_000_000;
+        const RTO_PS: u64 = 10 * SPREAD_PS;
+        const END_PS: u64 = 600_000_000;
+        const PUSHES: u64 = 1_000_000;
+        let mut s = CalendarQueue::new();
+        let mut seq = 0u64;
+        let mut push = |s: &mut CalendarQueue<u64>, at_ps: u64, kind: u64| {
+            s.push(Entry {
+                event: kind,
+                ..entry(at_ps, seq)
+            });
+            seq += 1;
+        };
+        let mut x = 0x853C49E6748FEA9Bu64;
+        let mut rand = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        push(&mut s, END_PS, END);
+        for _ in 0..CLUSTER {
+            push(&mut s, rand(SPREAD_PS), PACKET);
+        }
+        let (mut pushes, mut now, mut peak) = (CLUSTER + 1, 0u64, 0usize);
+        for pops in 1u64.. {
+            if pushes >= PUSHES {
+                break;
+            }
+            let e = s.pop_min().unwrap();
+            assert!(e.at.as_ps() >= now && e.event != END);
+            now = e.at.as_ps();
+            if e.event == PACKET {
+                push(&mut s, now + rand(SPREAD_PS), PACKET);
+                pushes += 1;
+                if rand(16) == 0 {
+                    push(&mut s, now + RTO_PS, RTO);
+                    pushes += 1;
+                }
+            }
+            peak = peak.max(s.len());
+            if pops % 1024 == 0 {
+                let retained: usize = s.buckets.iter().map(Vec::capacity).sum();
+                let bound = 4 * peak + RECLAIM_CAP * s.nbuckets;
+                assert!(
+                    retained <= bound,
+                    "retained {retained} > bound {bound} after {pushes} pushes \
+                     (peak pending {peak}, {} buckets)",
+                    s.nbuckets
+                );
+            }
+            if pops % 65_536 == 0 {
+                s.check_backend().unwrap();
+            }
+        }
+        assert!(now < END_PS, "the cluster must never reach the End");
     }
 
     #[test]

@@ -202,12 +202,52 @@ fn run_differential(ops: &[u64]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// An op word with an explicit kind (low 3 bits) and delay class (see
+/// [`delay_ps`]).
+fn op(kind: u64, class: u64, amount: u64) -> u64 {
+    kind | (class << 3) | (amount << 5)
+}
+
+/// Drain-then-refill rounds for the calendar queue's capacity reclaim, one
+/// per random word. Each round schedules two long-lived keepers (up to
+/// 5 ms out), then a dense burst of zero and sub-µs delays large enough to
+/// grow a bucket past its reclaim threshold, then pops that drain the
+/// burst: the bucket empties and gives its capacity back while the keepers
+/// hold the queue size, and so the bucket count, up. Every other round
+/// pops on into the keepers, so the clock jumps across days and calendar
+/// years before the next burst refills the emptied buckets.
+fn drain_refill_ops(rounds: &[u64]) -> Vec<u64> {
+    let mut ops = Vec::new();
+    for (r, &x) in rounds.iter().enumerate() {
+        let burst = 17 + x % 64;
+        ops.push(op(3, 2 + (x & 1), x >> 8));
+        ops.push(op(0, 3, x >> 16));
+        for k in 0..burst {
+            let kind = if k % 5 == 0 { 3 } else { 0 };
+            ops.push(op(kind, (x >> (k % 64)) & 1, x.rotate_left(k as u32)));
+        }
+        if r % 3 == 0 {
+            ops.push(6 | (x << 3));
+        }
+        let pops = burst + 2 * (r as u64 % 2);
+        ops.extend(std::iter::repeat(4).take(pops as usize));
+    }
+    ops
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96 })]
 
     #[test]
     fn backends_agree_with_shadow_model(ops in proptest::collection::vec(0u64..u64::MAX, 0..400)) {
         run_differential(&ops)?;
+    }
+
+    #[test]
+    fn backends_agree_across_drain_and_refill(
+        rounds in proptest::collection::vec(0u64..u64::MAX, 1..16)
+    ) {
+        run_differential(&drain_refill_ops(&rounds))?;
     }
 }
 

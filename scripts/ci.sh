@@ -45,7 +45,11 @@
 #      and =quad, so every code path pinned on the calendar-queue default
 #      (unit, e2e, golden) also runs — and stays bit-identical — on the
 #      alternative event schedulers;
-#  11. bench drift: scripts/bench.sh prints events/sec deltas against the
+#  11. benchmark build: the repository benchmark (perfbench/, a package
+#      of its own outside the workspace) is built and its unit tests run,
+#      so a crate API change that breaks it (add_flow, ArrivalSource,
+#      run_warm, snapshot) fails here rather than when the benchmark runs;
+#  12. bench drift: scripts/bench.sh prints events/sec deltas against the
 #      committed BENCH_simbench.json (informational — inspect by hand;
 #      per-backend rows cover event-queue drift for all three backends,
 #      the arena_churn row carries the allocation counters that pin the
@@ -85,13 +89,13 @@ if [[ -n "${PRIOPLUS_SCHED:-}" ]]; then
   esac
 fi
 
-echo "=== [1/11] simlint: workspace static analysis ==="
+echo "=== [1/12] simlint: workspace static analysis ==="
 cargo run --release -q -p simlint -- --json target/simlint.json
 echo "ci.sh: JSON report written to target/simlint.json"
 leg_done
 
 echo
-echo "=== [2/11] clippy (-D warnings) ==="
+echo "=== [2/12] clippy (-D warnings) ==="
 if cargo clippy --version >/dev/null 2>&1; then
   cargo clippy --workspace --all-targets -- -D warnings
 else
@@ -100,18 +104,18 @@ fi
 leg_done
 
 echo
-echo "=== [3/11] tier-1: release build + tests ==="
+echo "=== [3/12] tier-1: release build + tests ==="
 cargo build --release
 cargo test -q
 leg_done
 
 echo
-echo "=== [4/11] audit compiles out (netsim --no-default-features) ==="
+echo "=== [4/12] audit compiles out (netsim --no-default-features) ==="
 cargo build --release -p netsim --no-default-features
 leg_done
 
 echo
-echo "=== [5/11] audit-enabled e2e suite (violations are fatal) ==="
+echo "=== [5/12] audit-enabled e2e suite (violations are fatal) ==="
 PRIOPLUS_AUDIT=1 PRIOPLUS_AUDIT_PANIC=1 \
   cargo test -q --release -p experiments
 echo "--- arena accounting at every event boundary (deep scan forced) ---"
@@ -120,19 +124,19 @@ PRIOPLUS_AUDIT=1 PRIOPLUS_AUDIT_PANIC=1 PRIOPLUS_AUDIT_DEEP=1 \
 leg_done
 
 echo
-echo "=== [6/11] hybrid packet/fluid e2e (fluid conservation forced) ==="
+echo "=== [6/12] hybrid packet/fluid e2e (fluid conservation forced) ==="
 PRIOPLUS_AUDIT=1 PRIOPLUS_AUDIT_PANIC=1 PRIOPLUS_AUDIT_DEEP=1 \
   cargo test -q --release -p experiments --test e2e_hybrid
 leg_done
 
 echo
-echo "=== [7/11] fault-regime e2e (deadlock monitor, conservation under failure) ==="
+echo "=== [7/12] fault-regime e2e (deadlock monitor, conservation under failure) ==="
 PRIOPLUS_AUDIT=1 PRIOPLUS_AUDIT_PANIC=1 PRIOPLUS_AUDIT_DEEP=1 \
   cargo test -q --release -p experiments --test e2e_faults
 leg_done
 
 echo
-echo "=== [8/11] hyperscale smoke (k=8 open-loop, slab reclamation audited) ==="
+echo "=== [8/12] hyperscale smoke (k=8 open-loop, slab reclamation audited) ==="
 # Deep cadence 256, not 1: the deep scan's flow sweep is O(flows), and the
 # hyperscale suite runs thousands of streamed flows over millions of
 # events — an every-event sweep is quadratic and takes >10 min. 256 still
@@ -143,7 +147,7 @@ PRIOPLUS_AUDIT=1 PRIOPLUS_AUDIT_PANIC=1 PRIOPLUS_AUDIT_DEEP=256 \
 leg_done
 
 echo
-echo "=== [9/11] snapshot/resume bit-identity (audited CC matrix) ==="
+echo "=== [9/12] snapshot/resume bit-identity (audited CC matrix) ==="
 # The snapshot suite's headline test already audits both halves of every
 # matrix run internally; forcing the audit on every Sim additionally
 # covers the warm-start sweep and tamper-fleet simulators, and the panic
@@ -153,13 +157,18 @@ PRIOPLUS_AUDIT=1 PRIOPLUS_AUDIT_PANIC=1 \
 leg_done
 
 echo
-echo "=== [10/11] scheduler-backend matrix (binary, quad) ==="
+echo "=== [10/12] scheduler-backend matrix (binary, quad) ==="
 PRIOPLUS_SCHED=binary cargo test -q
 PRIOPLUS_SCHED=quad cargo test -q
 leg_done
 
 echo
-echo "=== [11/11] benchmark drift vs committed BENCH_simbench.json ==="
+echo "=== [11/12] benchmark build (perfbench unit tests) ==="
+cargo test --release --manifest-path perfbench/Cargo.toml
+leg_done
+
+echo
+echo "=== [12/12] benchmark drift vs committed BENCH_simbench.json ==="
 scripts/bench.sh
 leg_done
 
