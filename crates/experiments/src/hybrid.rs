@@ -246,27 +246,19 @@ impl HybridScenario {
                 sim.add_flow(spec, |p| CcSpec::Blast.make(p, start));
             }
         }
-        // simlint::allow(wall-clock, measures host wall time of the run for the hybrid speedup report; never feeds sim state)
-        let t0 = std::time::Instant::now();
-        let result = sim.run();
-        let wall = t0.elapsed().as_secs_f64();
         HybridOutcome {
-            result,
+            result: sim.run(),
             fg_flows,
-            wall,
         }
     }
 }
 
-/// One mode's run: full result plus the foreground-record split and wall
-/// clock.
+/// One mode's run: full result plus the foreground-record split.
 pub struct HybridOutcome {
     /// The full simulation result (foreground records first).
     pub result: SimResult,
     /// Number of foreground flows (records `0..fg_flows`).
     pub fg_flows: usize,
-    /// Wall-clock seconds for `Sim::run`.
-    pub wall: f64,
 }
 
 impl HybridOutcome {
@@ -377,49 +369,5 @@ mod tests {
             delta * 100.0
         );
         assert!(f.events() * 2 < p.events(), "hybrid run must cut events");
-    }
-}
-
-#[cfg(test)]
-mod probe {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn probe_acceptance() {
-        for load in [0.3, 0.5, 0.7] {
-            let sc = HybridScenario::incast(load);
-            let p = sc.run(HybridMode::PacketRef, None);
-            let f = sc.run(HybridMode::Fluid, None);
-            let (pf, ff) = paired_fg_fct_us(&p, &f);
-            eprintln!(
-                "incast load={load}: events {} -> {} ({:.2}x), wall {:.1}ms -> {:.1}ms ({:.2}x), fct {pf:.1}us vs {ff:.1}us (delta {:.2}%)",
-                p.events(), f.events(), p.events() as f64 / f.events() as f64,
-                p.wall*1e3, f.wall*1e3, p.wall / f.wall,
-                (ff - pf) / pf * 100.0
-            );
-        }
-    }
-}
-
-#[cfg(test)]
-mod probe_ws {
-    use super::*;
-
-    #[test]
-    #[ignore]
-    fn probe_websearch() {
-        for load in [0.3, 0.5, 0.7] {
-            let sc = HybridScenario::websearch(load);
-            let p = sc.run(HybridMode::PacketRef, None);
-            let f = sc.run(HybridMode::Fluid, None);
-            let (pf, ff) = paired_fg_fct_us(&p, &f);
-            eprintln!(
-                "websearch load={load}: events {} -> {} ({:.2}x), wall {:.1}ms -> {:.1}ms ({:.2}x), fct {pf:.1}us vs {ff:.1}us (delta {:.2}%)",
-                p.events(), f.events(), p.events() as f64 / f.events() as f64,
-                p.wall*1e3, f.wall*1e3, p.wall / f.wall,
-                (ff - pf) / pf * 100.0
-            );
-        }
     }
 }

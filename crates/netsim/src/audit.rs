@@ -3,8 +3,8 @@
 //!
 //! The audit layer is the simulator's deterministic-simulation-testing
 //! harness. When enabled (the `audit` cargo feature, plus a runtime toggle:
-//! [`crate::Sim::enable_audit`], the `PRIOPLUS_AUDIT` environment variable,
-//! or a `--audit` CLI flag), the event loop verifies after every event that
+//! [`crate::Sim::enable_audit`] or the `PRIOPLUS_AUDIT` environment
+//! variable), the event loop verifies after every event that
 //! the simulation state still satisfies the invariants the paper's switch
 //! mechanisms guarantee in hardware:
 //!
@@ -881,8 +881,8 @@ impl Audit {
 }
 
 /// Whether auditing was requested from the environment: `PRIOPLUS_AUDIT`
-/// set to anything but `0`, or a literal `--audit` CLI argument. Cached, so
-/// the per-run cost is one relaxed load.
+/// set to anything but `0`. Cached, so the per-run cost is one relaxed
+/// load.
 pub fn env_enabled() -> bool {
     // Process-wide env caches: write-once before any sim state exists.
     use std::sync::OnceLock; // simlint::allow(shared-state, process-wide env cache - write-once before any sim state exists)
@@ -891,7 +891,6 @@ pub fn env_enabled() -> bool {
         std::env::var("PRIOPLUS_AUDIT")
             .map(|v| v != "0")
             .unwrap_or(false)
-            || std::env::args().any(|a| a == "--audit")
     })
 }
 

@@ -5,7 +5,7 @@
 //! transitions installed via [`crate::SimConfig::faults`]. The simulator
 //! schedules every entry as a first-class `Event::Fault` through the same
 //! [`simcore::Scheduler`] backend as all other events, so fault runs stay
-//! bit-identical across the binary/quad/calendar backends and across
+//! bit-identical across the binary/calendar backends and across
 //! repeated runs — fault times are data, never wall clock.
 //!
 //! Three regimes are supported, always applied to **both directions** of

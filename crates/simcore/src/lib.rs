@@ -7,7 +7,7 @@
 //! - [`rate`]: link rates ([`rate::Rate`]) and serialization-delay arithmetic;
 //! - [`event`]: a deterministic event queue with stable tie-breaking;
 //! - [`sched`]: pluggable scheduler backends for the event queue (binary
-//!   heap, 4-ary heap, calendar queue) with identical pop order;
+//!   heap, calendar queue) with identical pop order;
 //! - [`rng`]: a small, seedable, splittable deterministic RNG;
 //! - [`stats`]: summary statistics (mean, percentiles, CDFs, time series).
 //!

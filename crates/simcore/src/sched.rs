@@ -3,24 +3,21 @@
 //! [`EventQueue`](crate::EventQueue) separates *policy* — generation-slot
 //! cancellation, the monotonic clock, sequence-number tie-breaking — from
 //! the ordered container that actually holds pending entries. The container
-//! side is the [`Scheduler`] trait, with three deterministic backends:
+//! side is the [`Scheduler`] trait, with two deterministic backends:
 //!
 //! - [`BinaryHeapSched`]: `std::collections::BinaryHeap` with reversed
-//!   ordering — the reference backend;
-//! - [`QuadHeapSched`]: an implicit 4-ary min-heap. Same asymptotics as the
-//!   binary heap but half the tree depth, so sift-downs touch fewer cache
-//!   lines when many events are pending;
+//!   ordering — the reference backend the differential tests compare
+//!   against;
 //! - [`CalendarQueue`]: a bucketed calendar queue (Brown 1988) with
 //!   automatic resize. O(1) amortized when pending-event spacing is roughly
 //!   uniform — the dense-timer regime of large incasts, where millions of
-//!   RTO/pacing timers share a common horizon. The default: fastest
-//!   end-to-end on every simbench scenario post-arena (`event_queue` 247 ms
-//!   vs 442 ms for the binary heap; `incast_prioplus` 135 ms vs 148 ms).
-//!   The day width is 3× the min→max span of *all* stored entries over
-//!   their count, so a far-future entry (a run's `End`, a long RTO) widens
-//!   every day. Memory tracks the pending set: a pop that empties a bucket
-//!   frees its allocation, so buckets do not keep the capacity of the
-//!   densest day they ever held.
+//!   RTO/pacing timers share a common horizon. The default backend, and
+//!   the one the repository benchmark runs. The day width is 3× the
+//!   min→max span of *all* stored entries over their count, so a
+//!   far-future entry (a run's `End`, a long RTO) widens every day.
+//!   Memory tracks the pending set: a pop that empties a bucket frees its
+//!   allocation, so buckets do not keep the capacity of the densest day
+//!   they ever held.
 //!
 //! # Contract
 //!
@@ -38,7 +35,7 @@
 //! the same pushes produce bit-identical pop sequences, which is what lets
 //! `PRIOPLUS_SCHED` flip the backend without perturbing a single golden
 //! trace. The differential property test (`simcore/tests/prop_sched.rs`)
-//! checks all three against a naive sorted-`Vec` model, and the golden-trace
+//! checks both against a naive sorted-`Vec` model, and the golden-trace
 //! suite pins end-to-end digests per backend.
 
 use std::cmp::Ordering;
@@ -132,35 +129,30 @@ pub trait Scheduler<E> {
 pub enum SchedKind {
     /// `std` binary heap (the reference backend).
     Binary,
-    /// Implicit 4-ary min-heap.
-    Quad,
-    /// Bucketed calendar queue with automatic resize (the default:
-    /// fastest end-to-end on every simbench scenario).
+    /// Bucketed calendar queue with automatic resize (the default).
     #[default]
     Calendar,
 }
 
 impl SchedKind {
     /// All backends, in a fixed order (test matrices iterate this).
-    pub const ALL: [SchedKind; 3] = [SchedKind::Binary, SchedKind::Quad, SchedKind::Calendar];
+    pub const ALL: [SchedKind; 2] = [SchedKind::Binary, SchedKind::Calendar];
 
     /// Canonical lowercase name (also what `PRIOPLUS_SCHED` accepts).
     pub fn name(self) -> &'static str {
         match self {
             SchedKind::Binary => "binary",
-            SchedKind::Quad => "quad",
             SchedKind::Calendar => "calendar",
         }
     }
 
-    /// Parse a backend name; `None` for anything unknown.
+    /// Parse a canonical backend name, ignoring case and surrounding
+    /// whitespace; `None` for anything else.
     pub fn parse(s: &str) -> Option<SchedKind> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "binary" | "heap" | "binaryheap" => Some(SchedKind::Binary),
-            "quad" | "4ary" | "heap4" | "quadheap" => Some(SchedKind::Quad),
-            "calendar" | "calq" | "calqueue" => Some(SchedKind::Calendar),
-            _ => None,
-        }
+        let s = s.trim();
+        SchedKind::ALL
+            .into_iter()
+            .find(|k| k.name().eq_ignore_ascii_case(s))
     }
 
     /// Resolve a `PRIOPLUS_SCHED` environment value (`None` = unset) to a
@@ -187,7 +179,7 @@ impl SchedKind {
             WARNED.call_once(|| {
                 eprintln!(
                     "warning: PRIOPLUS_SCHED={bad:?} not one of \
-                     binary|quad|calendar; using calendar"
+                     binary|calendar; using calendar"
                 );
             });
             SchedKind::default()
@@ -201,8 +193,6 @@ impl SchedKind {
 pub enum AnySched<E> {
     /// Binary-heap backend.
     Binary(BinaryHeapSched<E>),
-    /// 4-ary-heap backend.
-    Quad(QuadHeapSched<E>),
     /// Calendar-queue backend.
     Calendar(CalendarQueue<E>),
 }
@@ -212,7 +202,6 @@ impl<E> AnySched<E> {
     pub fn new(kind: SchedKind) -> Self {
         match kind {
             SchedKind::Binary => AnySched::Binary(BinaryHeapSched::new()),
-            SchedKind::Quad => AnySched::Quad(QuadHeapSched::new()),
             SchedKind::Calendar => AnySched::Calendar(CalendarQueue::new()),
         }
     }
@@ -221,7 +210,6 @@ impl<E> AnySched<E> {
     pub fn kind(&self) -> SchedKind {
         match self {
             AnySched::Binary(_) => SchedKind::Binary,
-            AnySched::Quad(_) => SchedKind::Quad,
             AnySched::Calendar(_) => SchedKind::Calendar,
         }
     }
@@ -231,7 +219,6 @@ macro_rules! dispatch {
     ($self:ident, $b:ident => $body:expr) => {
         match $self {
             AnySched::Binary($b) => $body,
-            AnySched::Quad($b) => $body,
             AnySched::Calendar($b) => $body,
         }
     };
@@ -333,114 +320,6 @@ impl<E> Scheduler<E> for BinaryHeapSched<E> {
         for r in self.heap.iter() {
             f(&r.0);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 4-ary heap backend
-// ---------------------------------------------------------------------------
-
-/// Implicit 4-ary min-heap in a `Vec`. Child `c` of node `i` is
-/// `4*i + 1 + c`; parent of `i` is `(i - 1) / 4`. Depth is half a binary
-/// heap's, trading slightly more comparisons per level for fewer levels —
-/// the standard d-ary trade that favors sift-down-heavy workloads like an
-/// event loop's pop-push cycle.
-#[derive(Debug)]
-pub struct QuadHeapSched<E> {
-    v: Vec<Entry<E>>,
-}
-
-const ARITY: usize = 4;
-
-impl<E> QuadHeapSched<E> {
-    /// Empty backend.
-    pub fn new() -> Self {
-        QuadHeapSched { v: Vec::new() }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            if self.v[i].key() < self.v[parent].key() {
-                self.v.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.v.len();
-        loop {
-            let first = ARITY * i + 1;
-            if first >= len {
-                break;
-            }
-            let mut min = first;
-            for c in first + 1..(first + ARITY).min(len) {
-                if self.v[c].key() < self.v[min].key() {
-                    min = c;
-                }
-            }
-            if self.v[min].key() < self.v[i].key() {
-                self.v.swap(i, min);
-                i = min;
-            } else {
-                break;
-            }
-        }
-    }
-}
-
-impl<E> Default for QuadHeapSched<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Scheduler<E> for QuadHeapSched<E> {
-    fn push(&mut self, entry: Entry<E>) {
-        self.v.push(entry);
-        self.sift_up(self.v.len() - 1);
-    }
-
-    fn pop_min(&mut self) -> Option<Entry<E>> {
-        let last = self.v.pop()?;
-        if self.v.is_empty() {
-            return Some(last);
-        }
-        let min = std::mem::replace(&mut self.v[0], last);
-        self.sift_down(0);
-        Some(min)
-    }
-
-    #[inline]
-    fn peek_min(&self) -> Option<&Entry<E>> {
-        self.v.first()
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        self.v.len()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&Entry<E>)) {
-        for e in &self.v {
-            f(e);
-        }
-    }
-
-    fn check_backend(&self) -> Result<(), String> {
-        for i in 1..self.v.len() {
-            let parent = (i - 1) / ARITY;
-            if self.v[i].key() < self.v[parent].key() {
-                return Err(format!(
-                    "quad-heap property violated at index {i} (parent {parent})"
-                ));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -754,7 +633,7 @@ mod tests {
     fn env_value_parse_contract() {
         // Unset: the default backend, silently.
         assert_eq!(SchedKind::from_env_value(None), Ok(SchedKind::Calendar));
-        // Every canonical name and alias resolves, case-insensitively and
+        // Every canonical name resolves, case-insensitively and
         // whitespace-tolerantly.
         for kind in SchedKind::ALL {
             assert_eq!(SchedKind::from_env_value(Some(kind.name())), Ok(kind));
@@ -762,13 +641,13 @@ mod tests {
             assert_eq!(SchedKind::from_env_value(Some(&shouty)), Ok(kind));
         }
         assert_eq!(
-            SchedKind::from_env_value(Some("  calq ")),
+            SchedKind::from_env_value(Some("  Calendar ")),
             Ok(SchedKind::Calendar)
         );
-        assert_eq!(
-            SchedKind::from_env_value(Some("4ary")),
-            Ok(SchedKind::Quad)
-        );
+        // Only canonical names resolve; no aliases.
+        for gone in ["heap", "binaryheap", "calq", "calqueue", "quad", "4ary"] {
+            assert_eq!(SchedKind::from_env_value(Some(gone)), Err(gone.to_string()));
+        }
         // Unknown values are an error carrying the offending (trimmed)
         // value — callers decide whether to warn (library) or abort (CI).
         assert_eq!(
@@ -809,18 +688,6 @@ mod tests {
                 assert_eq!(s.peek_min().unwrap().seq, want, "{kind:?}");
                 assert_eq!(s.pop_min().unwrap().seq, want, "{kind:?}");
             }
-        }
-    }
-
-    #[test]
-    fn quad_heap_property_holds_under_churn() {
-        let mut s = QuadHeapSched::new();
-        for seq in 0..500u64 {
-            s.push(entry((seq * 7919) % 10_000, seq));
-            if seq % 3 == 0 {
-                s.pop_min();
-            }
-            s.check_backend().unwrap();
         }
     }
 

@@ -85,12 +85,6 @@ fn r2_respects_allow_annotations() {
     assert_eq!(allowed(&fs, Rule::WallClock), 2);
 }
 
-#[test]
-fn r2_exempts_bench_crate() {
-    let src = include_str!("fixtures/r2_bad.rs");
-    assert!(lint_source("crates/bench/src/bin/simbench.rs", src).is_empty());
-}
-
 // --- R3: unseeded-rng ----------------------------------------------------
 
 #[test]

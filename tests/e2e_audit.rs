@@ -128,7 +128,7 @@ fn audit_is_clean_under_lossy_dt_drops() {
 #[test]
 fn audit_report_is_absent_when_not_enabled() {
     if netsim::audit::env_enabled() {
-        // PRIOPLUS_AUDIT / --audit force-enables the audit on every Sim;
+        // PRIOPLUS_AUDIT force-enables the audit on every Sim;
         // the default-off behavior is unobservable under that opt-in.
         return;
     }

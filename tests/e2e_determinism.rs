@@ -100,11 +100,6 @@ fn assert_backend_matches_binary(alt: SchedKind) {
 }
 
 #[test]
-fn cc_matrix_is_bit_identical_under_quad_heap() {
-    assert_backend_matches_binary(SchedKind::Quad);
-}
-
-#[test]
 fn cc_matrix_is_bit_identical_under_calendar_queue() {
     assert_backend_matches_binary(SchedKind::Calendar);
 }

@@ -5,7 +5,7 @@
 //!
 //! 1. **Faults are deterministic**: every fault regime produces
 //!    bit-identical results — record for record, counter for counter —
-//!    across the binary/quad/calendar scheduler backends and across
+//!    across the binary/calendar scheduler backends and across
 //!    repeated runs. Fault transitions are ordinary scheduler events, so
 //!    nothing about a failure depends on wall clock or backend choice.
 //! 2. **The audit stays clean under failure**: packet conservation,
@@ -35,7 +35,7 @@ use simcore::{Rate, Time};
 use transport::{CcSpec, PrioPlusPolicy};
 
 /// Every scheduler backend; fault events must be invisible to the choice.
-const BACKENDS: [SchedKind; 3] = [SchedKind::Binary, SchedKind::Quad, SchedKind::Calendar];
+const BACKENDS: [SchedKind; 2] = SchedKind::ALL;
 
 /// Deep scan on every event, panicking at the first violation so a
 /// failure names the exact offending event.
@@ -446,12 +446,12 @@ fn fault_runs_are_deterministic_across_repeats() {
         Time::from_us(50),
     );
     let a = run_incast(
-        SchedKind::Quad,
+        SchedKind::Calendar,
         sched.clone(),
         &swift(),
         strict_audit(),
         None,
     );
-    let b = run_incast(SchedKind::Quad, sched, &swift(), strict_audit(), None);
+    let b = run_incast(SchedKind::Calendar, sched, &swift(), strict_audit(), None);
     assert_bit_identical(&a, &b, "repeat run");
 }

@@ -55,7 +55,7 @@ fn assert_bit_identical(a: &HybridOutcome, b: &HybridOutcome, what: &str) {
 
 /// Every scheduler backend, so the differential also covers the calendar
 /// default promoted in this change.
-const BACKENDS: [SchedKind; 3] = [SchedKind::Binary, SchedKind::Quad, SchedKind::Calendar];
+const BACKENDS: [SchedKind; 2] = SchedKind::ALL;
 
 #[test]
 fn zero_background_incast_is_bit_identical_to_pure_packet() {

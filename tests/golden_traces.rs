@@ -94,22 +94,19 @@ fn golden_traces_survive_snapshot_resume() {
 }
 
 /// Scheduler backends are pure performance knobs: every golden case must
-/// summarize byte-for-byte identically under the binary heap, the 4-ary
-/// heap, and the calendar queue. This pins the backends against the *full*
+/// summarize byte-for-byte identically under the binary heap and the
+/// calendar queue. This pins the backends against the *full*
 /// simulator (PFC, ECN, traces, monitors), not just the microbenchmark
 /// surface the differential property test covers.
 #[test]
 fn golden_traces_are_bit_identical_across_scheduler_backends() {
     for case in cases() {
         let baseline = summarize(&(case.run)(GoldenOpts::on(SchedKind::Binary)));
-        for kind in [SchedKind::Quad, SchedKind::Calendar] {
-            let got = summarize(&(case.run)(GoldenOpts::on(kind)));
-            assert_eq!(
-                baseline, got,
-                "{}: scheduler backend {} changed the simulation",
-                case.name,
-                kind.name()
-            );
-        }
+        let got = summarize(&(case.run)(GoldenOpts::on(SchedKind::Calendar)));
+        assert_eq!(
+            baseline, got,
+            "{}: the calendar queue changed the simulation",
+            case.name
+        );
     }
 }
