@@ -293,7 +293,7 @@ fn summarize(result: &netsim::SimResult) -> HyperscaleResult {
         .cloned()
         .unwrap_or_default();
     let c = &result.counters;
-    let arena_bytes = c.arena_slab_slots * std::mem::size_of::<netsim::Packet>() as u64;
+    let arena_bytes = c.arena_slab_slots * netsim::PacketArena::slot_bytes() as u64;
     HyperscaleResult {
         flows_total: c.flows_total,
         finished: st.finished,

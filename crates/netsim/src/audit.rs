@@ -2,9 +2,9 @@
 //! boundaries.
 //!
 //! The audit layer is the simulator's deterministic-simulation-testing
-//! harness. When enabled (the `audit` cargo feature, plus a runtime toggle:
-//! [`crate::Sim::enable_audit`] or the `PRIOPLUS_AUDIT` environment
-//! variable), the event loop verifies after every event that
+//! harness. When enabled at runtime ([`crate::Sim::enable_audit`] or the
+//! `PRIOPLUS_AUDIT` environment variable), the event loop verifies after
+//! every event that
 //! the simulation state still satisfies the invariants the paper's switch
 //! mechanisms guarantee in hardware:
 //!
@@ -35,9 +35,8 @@
 //!
 //! Violations become structured [`Violation`] records pinpointing the event,
 //! node, port, queue, and flow, alongside a ring buffer of the most recent
-//! events ([`EventRecord`]) so a failure is debuggable after the fact. The
-//! whole layer compiles out with `--no-default-features` and costs one
-//! `Option` check per event when compiled in but disabled.
+//! events ([`EventRecord`]) so a failure is debuggable after the fact. A
+//! disabled audit costs one `Option` check per hook.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -46,6 +45,7 @@ use simcore::{RingLog, Time};
 use crate::node::Switch;
 use crate::packet::{FlowId, NodeId, PacketArena};
 use crate::counters::SimCounters;
+use crate::event::Event;
 
 /// Configuration of the audit layer.
 #[derive(Clone, Debug)]
@@ -218,7 +218,6 @@ impl AuditReport {
 }
 
 /// PFC pause-state mirror for one (node, ingress port, priority).
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 #[derive(Clone, Copy, Debug, Default)]
 struct PfcMirror {
     paused: bool,
@@ -229,7 +228,6 @@ struct PfcMirror {
 
 /// Details of a packet that just went through switch admission, handed to
 /// [`Audit::note_switch_arrive`] by the event loop.
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 pub(crate) struct SwitchArrive {
     pub(crate) node: NodeId,
     pub(crate) in_port: u16,
@@ -249,7 +247,6 @@ pub(crate) struct SwitchArrive {
 
 /// The (switch, ingress port, queue) an admission in the current event
 /// touched; checked against the Xoff invariant at the event boundary.
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 #[derive(Clone, Debug)]
 pub(crate) struct Focus {
     pub(crate) node: NodeId,
@@ -261,7 +258,6 @@ pub(crate) struct Focus {
 }
 
 /// Live audit state held by the simulator while auditing is enabled.
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 #[derive(Clone, Debug)]
 pub struct Audit {
     cfg: AuditConfig,
@@ -284,7 +280,6 @@ pub struct Audit {
     deadlock_active: bool,
 }
 
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 impl Audit {
     /// New audit state.
     pub fn new(cfg: AuditConfig) -> Self {
@@ -350,7 +345,8 @@ impl Audit {
     }
 
     /// Ring-log one event about to be processed.
-    pub(crate) fn on_event(&mut self, time: Time, kind: &'static str, id: u32) {
+    pub(crate) fn on_event(&mut self, time: Time, ev: &Event) {
+        let (kind, id) = ev.label();
         self.ring.push(EventRecord {
             seq: self.events_audited,
             time,
@@ -932,7 +928,6 @@ pub fn env_deep_every() -> u64 {
 /// Returns the first cycle found — deterministic: vertices are visited in
 /// sorted `(node, port, queue)` order — as the list of its vertices, or
 /// `None` when the wait-for graph is acyclic.
-#[cfg_attr(not(feature = "audit"), allow(dead_code))]
 pub(crate) fn detect_pause_cycle(
     switches: &[(NodeId, &Switch)],
     arena: &PacketArena,
@@ -1030,8 +1025,8 @@ mod tests {
     #[test]
     fn arena_check_flags_bad_reference_counts() {
         let mut arena = PacketArena::new();
-        let live = arena.alloc(crate::packet::Packet::pfc(0, 1, 0, true));
-        let freed = arena.alloc(crate::packet::Packet::pfc(0, 1, 0, true));
+        let live = arena.alloc(crate::packet::PktHeader::pfc(0, 1, 0, true), None);
+        let freed = arena.alloc(crate::packet::PktHeader::pfc(0, 1, 0, true), None);
         arena.release(freed);
         let mut a = Audit::new(AuditConfig::default());
 
@@ -1081,7 +1076,7 @@ mod tests {
             ..Default::default()
         });
         for i in 0..10u32 {
-            a.on_event(Time::from_us(i as u64), "arrive", i);
+            a.on_event(Time::from_us(i as u64), &Event::HostPoke { node: i });
         }
         let r = a.into_report();
         assert_eq!(r.events_audited, 10);
@@ -1121,7 +1116,14 @@ mod tests {
     #[test]
     fn dump_is_readable() {
         let mut a = Audit::new(AuditConfig::default());
-        a.on_event(Time::from_us(1), "arrive", 3);
+        a.on_event(
+            Time::from_us(1),
+            &Event::Arrive {
+                node: 3,
+                in_port: 0,
+                pkt: crate::packet::PacketId(0),
+            },
+        );
         a.flow_violation(
             ViolationKind::TransportSanity,
             Time::from_us(2),
@@ -1152,7 +1154,7 @@ mod tests {
     use crate::config::{Buggify, SwitchConfig};
     use crate::fluid::{BackgroundLoad, FluidFlowSpec, FluidState};
     use crate::node::{Admission, EgressPort};
-    use crate::packet::Packet;
+    use crate::packet::PktHeader;
     use simcore::{Rate, SimRng};
 
     fn buggy_switch(buggify: Option<Buggify>, buffer: u64) -> Switch {
@@ -1173,7 +1175,7 @@ mod tests {
         let mut arena = PacketArena::new();
         let mut s = buggy_switch(Some(Buggify::DequeueLeak), 1_000_000);
         let mut pauses = Vec::new();
-        let id = arena.alloc(Packet::data(0, 0, 1, 0, 1000, 0, Time::ZERO));
+        let id = arena.alloc(PktHeader::data(0, 0, 1, 0, 1000, 0, Time::ZERO), None);
         assert_eq!(
             s.admit(0, 1, id, 0, &mut arena, &mut pauses),
             Admission::Queued
@@ -1205,7 +1207,7 @@ mod tests {
         let mut pauses = Vec::new();
         let mut a = Audit::new(AuditConfig::default());
         for i in 0..6u64 {
-            let id = arena.alloc(Packet::data(0, 0, 1, 0, 1000, i * 1000, Time::ZERO));
+            let id = arena.alloc(PktHeader::data(0, 0, 1, 0, 1000, i * 1000, Time::ZERO), None);
             s.admit(0, 1, id, 0, &mut arena, &mut pauses);
             for &(ip, q) in &pauses {
                 a.on_pfc_frame(Time::from_us(i), 0, ip, q, true);

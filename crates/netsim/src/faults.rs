@@ -364,7 +364,7 @@ mod tests {
     use crate::audit::detect_pause_cycle;
     use crate::config::SwitchConfig;
     use crate::node::{EgressPort, Switch};
-    use crate::packet::{Packet, PacketArena};
+    use crate::packet::{PacketArena, PktHeader};
     use simcore::Rate;
     use std::collections::BTreeSet;
 
@@ -462,9 +462,9 @@ mod tests {
 
     /// Queue one data packet with `cur_in_port` set onto `(port, q)`.
     fn seed_pkt(s: &mut Switch, arena: &mut PacketArena, port: usize, q: u8, in_port: u16) {
-        let mut pkt = Packet::data(0, 0, 1, q, 1000, 0, Time::ZERO);
+        let mut pkt = PktHeader::data(0, 0, 1, q, 1000, 0, Time::ZERO);
         pkt.cur_in_port = in_port;
-        let pid = arena.alloc(pkt);
+        let pid = arena.alloc(pkt, None);
         s.ports[port].enqueue(pid, arena);
     }
 

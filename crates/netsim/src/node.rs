@@ -110,8 +110,8 @@ impl EgressPort {
 /// Map a packet's `prio` field to its queue index: control packets (ACKs
 /// when running in `AckPriority::Control` mode get `prio == ctrl` already)
 /// go by their `prio`; the caller sets it appropriately, so this is just a
-/// clamp guard. Takes the bare priority so callers holding either a full
-/// [`Packet`](crate::packet::Packet) or just a hot [`PktHeader`] can use it.
+/// clamp guard. Takes the bare priority so callers need not hold the
+/// [`PktHeader`].
 #[inline]
 pub fn queue_index(prio: u8, nq: usize) -> usize {
     (prio as usize).min(nq - 1)
@@ -362,14 +362,14 @@ impl Host {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{Packet, PktTag};
+    use crate::packet::{PktHeader, PktTag};
 
     fn port(nq: usize) -> EgressPort {
         EgressPort::new(1, 0, Rate::from_gbps(100), Time::from_us(1), nq)
     }
 
     fn data(a: &mut PacketArena, prio: u8, bytes: u32) -> PacketId {
-        a.alloc(Packet::data(0, 0, 1, prio, bytes, 0, Time::ZERO))
+        a.alloc(PktHeader::data(0, 0, 1, prio, bytes, 0, Time::ZERO), None)
     }
 
     #[test]
@@ -392,9 +392,9 @@ mod tests {
         let mut p = port(3); // 2 data prios + control at index 2
         let d = data(&mut a, 1, 100);
         p.enqueue(d, &a);
-        let mut ack = Packet::pfc(0, 1, 0, true);
+        let mut ack = PktHeader::pfc(0, 1, 0, true);
         ack.prio = 2;
-        let ack = a.alloc(ack);
+        let ack = a.alloc(ack, None);
         p.enqueue(ack, &a);
         let first = p.dequeue(&a).unwrap();
         assert!(matches!(a.get(first).kind, PktTag::Pfc { .. }));
@@ -448,7 +448,7 @@ mod tests {
         let mut pauses = Vec::new();
         let mut admitted = 0;
         for i in 0..20 {
-            let id = a.alloc(Packet::data(0, 0, 1, 0, 1000, i * 1000, Time::ZERO));
+            let id = a.alloc(PktHeader::data(0, 0, 1, 0, 1000, i * 1000, Time::ZERO), None);
             if s.admit(0, 1, id, 0, &mut a, &mut pauses) == Admission::Queued {
                 admitted += 1;
             }
@@ -471,7 +471,7 @@ mod tests {
         let mut i = 0u64;
         // Fill until a pause is emitted.
         while pauses.is_empty() && i < 100 {
-            let id = a.alloc(Packet::data(0, 0, 1, 0, 1000, i * 1000, Time::ZERO));
+            let id = a.alloc(PktHeader::data(0, 0, 1, 0, 1000, i * 1000, Time::ZERO), None);
             s.admit(0, 1, id, 0, &mut a, &mut pauses);
             i += 1;
         }
@@ -501,7 +501,7 @@ mod tests {
         // Below kmin: never marked.
         assert!(!s.ecn_mark(0, 0, 0, 0, &mut rng));
         for i in 0..5 {
-            let id = a.alloc(Packet::data(0, 0, 1, 0, 1000, i * 1000, Time::ZERO));
+            let id = a.alloc(PktHeader::data(0, 0, 1, 0, 1000, i * 1000, Time::ZERO), None);
             s.admit(0, 1, id, 0, &mut a, &mut pauses);
         }
         // Above kmax: always marked.
@@ -519,7 +519,7 @@ mod tests {
         let mut rng = SimRng::new(6);
         let mut pauses = Vec::new();
         for i in 0..5 {
-            let id = a.alloc(Packet::data(0, 0, 1, 0, 1000, i * 1000, Time::ZERO));
+            let id = a.alloc(PktHeader::data(0, 0, 1, 0, 1000, i * 1000, Time::ZERO), None);
             s.admit(0, 1, id, 0, &mut a, &mut pauses);
         }
         // ~5 KB queued: dscp 0 thresholds (2k/4k) => always marked;

@@ -53,9 +53,10 @@ pub const INT_MAX_HOPS: usize = 64;
 /// The INT records collected along a packet's path.
 ///
 /// Stores up to [`INT_INLINE_HOPS`] hops inline; only paths longer than that
-/// spill to a heap `Vec`. Boxed as `Option<Box<IntPath>>` in [`Packet`] /
-/// [`AckInfo`], an INT-carrying packet costs exactly one allocation, versus
-/// the old `Box<Vec<IntHop>>`'s box + vec buffer + growth reallocations.
+/// spill to a heap `Vec`. Boxed as `Option<Box<IntPath>>` in the arena's
+/// cold plane and in [`AckInfo`], an INT-carrying packet costs exactly one
+/// allocation, versus the old `Box<Vec<IntHop>>`'s box + vec buffer +
+/// growth reallocations.
 #[derive(Clone, Debug)]
 pub struct IntPath {
     len: u8,
@@ -131,8 +132,8 @@ impl IntPath {
     }
 }
 
-/// Acknowledgment contents carried by [`PktKind::Ack`] and
-/// [`PktKind::ProbeAck`].
+/// Acknowledgment contents carried by [`PktTag::Ack`] and
+/// [`PktTag::ProbeAck`] packets (in the arena's cold plane).
 #[derive(Clone, Debug)]
 pub struct AckInfo {
     /// Cumulative bytes received in-order at the receiver.
@@ -150,46 +151,6 @@ pub struct AckInfo {
     pub nack: Option<(u64, u64)>,
     /// Echoed INT telemetry (HPCC mode).
     pub int: Option<Box<IntPath>>,
-}
-
-/// What a packet is.
-#[derive(Clone, Debug)]
-pub enum PktKind {
-    /// A data segment.
-    Data,
-    /// A minimal-size delay probe (PrioPlus §4.2.1).
-    Probe,
-    /// Acknowledgment of a data segment.
-    Ack(AckInfo),
-    /// Echo of a probe.
-    ProbeAck(AckInfo),
-    /// PFC pause/resume control frame for one priority, handled out-of-band
-    /// at the MAC layer (never queued).
-    Pfc {
-        /// Priority (queue index) being paused or resumed.
-        prio: u8,
-        /// `true` = pause, `false` = resume.
-        pause: bool,
-    },
-}
-
-impl PktKind {
-    /// True for PFC control frames.
-    pub fn is_pfc(&self) -> bool {
-        matches!(self, PktKind::Pfc { .. })
-    }
-
-    /// True for data segments (the only packets subject to ECN marking,
-    /// non-congestive delay, and drops).
-    pub fn is_data(&self) -> bool {
-        matches!(self, PktKind::Data)
-    }
-
-    /// True for end-to-end control packets (ACKs, probes, probe echoes):
-    /// everything that is neither a data segment nor a link-local PFC frame.
-    pub fn is_control(&self) -> bool {
-        !self.is_data() && !self.is_pfc()
-    }
 }
 
 /// Discriminant-only packet kind stored in the hot header plane.
@@ -293,47 +254,7 @@ struct PktCold {
     ack: Option<AckInfo>,
 }
 
-/// A packet in flight, in its construction-side (array-of-structs) form.
-///
-/// Endpoints build a `Packet` with the constructors below and hand it to
-/// [`PacketArena::alloc`], which splits it into the hot [`PktHeader`] plane
-/// and the cold payload plane. Code holding a [`PacketId`] reads the header
-/// via [`PacketArena::get`] and the cold parts via
-/// [`PacketArena::take_ack`] / [`PacketArena::take_int`].
-#[derive(Clone, Debug)]
-pub struct Packet {
-    /// Owning flow (undefined for PFC frames, set to `u32::MAX`).
-    pub flow: FlowId,
-    /// Origin host.
-    pub src: NodeId,
-    /// Destination host.
-    pub dst: NodeId,
-    /// Physical priority queue index this packet travels in.
-    pub prio: u8,
-    /// DSCP code point carrying the flow's *virtual* priority; used by the
-    /// priority-scaled ECN extension (Appendix B) where switches vary the
-    /// marking threshold by DSCP.
-    pub dscp: u8,
-    /// Total wire size in bytes (header included).
-    pub size: u32,
-    /// Payload bytes (0 for control packets).
-    pub payload: u32,
-    /// Byte-offset sequence number of the first payload byte.
-    pub seq: u64,
-    /// Packet kind and kind-specific contents.
-    pub kind: PktKind,
-    /// Timestamp when the sender put the packet on the wire.
-    pub ts_tx: Time,
-    /// ECN congestion-experienced mark.
-    pub ecn_ce: bool,
-    /// INT telemetry collected along the path (HPCC mode).
-    pub int: Option<Box<IntPath>>,
-    /// Transient: ingress port at the switch currently holding the packet
-    /// (for PFC ingress accounting).
-    pub cur_in_port: u16,
-}
-
-impl Packet {
+impl PktHeader {
     /// Construct a data segment.
     pub fn data(
         flow: FlowId,
@@ -344,89 +265,68 @@ impl Packet {
         seq: u64,
         ts_tx: Time,
     ) -> Self {
-        Packet {
+        PktHeader {
             flow,
             src,
             dst,
-            prio,
-            dscp: 0,
             size: payload + HEADER_BYTES,
             payload,
             seq,
-            kind: PktKind::Data,
             ts_tx,
-            ecn_ce: false,
-            int: None,
             cur_in_port: 0,
+            prio,
+            dscp: 0,
+            ecn_ce: false,
+            kind: PktTag::Data,
         }
     }
 
     /// Construct a probe packet.
     pub fn probe(flow: FlowId, src: NodeId, dst: NodeId, prio: u8, ts_tx: Time) -> Self {
-        Packet {
-            flow,
-            src,
-            dst,
-            prio,
-            dscp: 0,
-            size: CONTROL_BYTES,
-            payload: 0,
-            seq: 0,
-            kind: PktKind::Probe,
-            ts_tx,
-            ecn_ce: false,
-            int: None,
-            cur_in_port: 0,
-        }
+        Self::control(flow, src, dst, prio, ts_tx, PktTag::Probe)
     }
 
-    /// Construct an acknowledgment (or probe echo) for a received packet.
-    pub fn ack(
-        flow: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        prio: u8,
-        info: AckInfo,
-        probe: bool,
-        ts_tx: Time,
-    ) -> Self {
-        Packet {
-            flow,
-            src,
-            dst,
-            prio,
-            dscp: 0,
-            size: CONTROL_BYTES,
-            payload: 0,
-            seq: 0,
-            kind: if probe {
-                PktKind::ProbeAck(info)
-            } else {
-                PktKind::Ack(info)
-            },
-            ts_tx,
-            ecn_ce: false,
-            int: None,
-            cur_in_port: 0,
-        }
+    /// Construct the header of an acknowledgment (or, with `probe`, a probe
+    /// echo). Its [`AckInfo`] is handed to [`PacketArena::alloc`] beside
+    /// it.
+    pub fn ack(flow: FlowId, src: NodeId, dst: NodeId, prio: u8, probe: bool, ts_tx: Time) -> Self {
+        let kind = if probe { PktTag::ProbeAck } else { PktTag::Ack };
+        Self::control(flow, src, dst, prio, ts_tx, kind)
     }
 
     /// Construct a PFC pause/resume frame.
     pub fn pfc(src: NodeId, dst: NodeId, prio: u8, pause: bool) -> Self {
-        Packet {
-            flow: u32::MAX,
+        Self::control(
+            u32::MAX,
             src,
             dst,
             prio,
-            dscp: 0,
+            Time::ZERO,
+            PktTag::Pfc { prio, pause },
+        )
+    }
+
+    fn control(
+        flow: FlowId,
+        src: NodeId,
+        dst: NodeId,
+        prio: u8,
+        ts_tx: Time,
+        kind: PktTag,
+    ) -> Self {
+        PktHeader {
+            flow,
+            src,
+            dst,
             size: CONTROL_BYTES,
             payload: 0,
             seq: 0,
-            kind: PktKind::Pfc { prio, pause },
-            ts_tx: Time::ZERO,
-            ecn_ce: false,
-            int: None,
+            ts_tx,
             cur_in_port: 0,
+            prio,
+            dscp: 0,
+            ecn_ce: false,
+            kind,
         }
     }
 }
@@ -434,7 +334,7 @@ impl Packet {
 /// Copyable handle into a [`PacketArena`] slot.
 ///
 /// Events and port queues carry this 4-byte id instead of a whole
-/// [`Packet`], so scheduler sift/percolate and `VecDeque` rotation move a
+/// packet, so scheduler sift/percolate and `VecDeque` rotation move a
 /// few machine words per hop. Ids are plain slot indices — no generation
 /// tag — because the simulator's packet lifecycle is strictly linear
 /// (alloc → queue/fly → release exactly once); the arena's live-flag check
@@ -513,33 +413,18 @@ impl PacketArena {
         Self::default()
     }
 
-    /// Store `pkt`, returning its handle. Splits the packet into the hot
-    /// header plane and the cold payload plane, and reuses the most
-    /// recently freed slot (LIFO) or grows the slab when none is free.
-    pub fn alloc(&mut self, pkt: Packet) -> PacketId {
+    /// Store a packet, returning its handle: `header` goes to the hot
+    /// plane, `ack` (present exactly for [`PktTag::Ack`] /
+    /// [`PktTag::ProbeAck`]) to the cold plane. Reuses the most recently
+    /// freed slot (LIFO) or grows the slab when none is free.
+    pub fn alloc(&mut self, header: PktHeader, ack: Option<AckInfo>) -> PacketId {
+        debug_assert_eq!(
+            matches!(header.kind, PktTag::Ack | PktTag::ProbeAck),
+            ack.is_some(),
+            "an ACK payload rides exactly the ack tags"
+        );
         self.stats.allocs += 1;
-        let (tag, ack) = match pkt.kind {
-            PktKind::Data => (PktTag::Data, None),
-            PktKind::Probe => (PktTag::Probe, None),
-            PktKind::Ack(info) => (PktTag::Ack, Some(info)),
-            PktKind::ProbeAck(info) => (PktTag::ProbeAck, Some(info)),
-            PktKind::Pfc { prio, pause } => (PktTag::Pfc { prio, pause }, None),
-        };
-        let header = PktHeader {
-            flow: pkt.flow,
-            src: pkt.src,
-            dst: pkt.dst,
-            size: pkt.size,
-            payload: pkt.payload,
-            seq: pkt.seq,
-            ts_tx: pkt.ts_tx,
-            cur_in_port: pkt.cur_in_port,
-            prio: pkt.prio,
-            dscp: pkt.dscp,
-            ecn_ce: pkt.ecn_ce,
-            kind: tag,
-        };
-        let cold = PktCold { int: pkt.int, ack };
+        let cold = PktCold { int: None, ack };
         let id = match self.free.pop() {
             Some(i) => {
                 self.hot[i as usize] = header;
@@ -669,6 +554,15 @@ impl PacketArena {
     /// Total slots ever created (live + free).
     pub fn capacity(&self) -> usize {
         self.hot.len()
+    }
+
+    /// Bytes one slot occupies across the planes: a hot header, a cold
+    /// payload and a live flag. Slab memory is `capacity() * slot_bytes()`
+    /// (INT boxes and the free list not included).
+    pub const fn slot_bytes() -> usize {
+        std::mem::size_of::<PktHeader>()
+            + std::mem::size_of::<PktCold>()
+            + std::mem::size_of::<bool>()
     }
 
     /// Whether slot `id` is live. Used by the audit's reference scan.
@@ -805,7 +699,7 @@ mod tests {
 
     #[test]
     fn data_packet_wire_size_includes_header() {
-        let p = Packet::data(0, 1, 2, 3, 1000, 0, Time::ZERO);
+        let p = PktHeader::data(0, 1, 2, 3, 1000, 0, Time::ZERO);
         assert_eq!(p.size, 1048);
         assert_eq!(p.payload, 1000);
         assert!(p.kind.is_data());
@@ -863,31 +757,31 @@ mod tests {
 
     #[test]
     fn control_packets_are_64_bytes() {
-        let probe = Packet::probe(0, 1, 2, 3, Time::ZERO);
+        let probe = PktHeader::probe(0, 1, 2, 3, Time::ZERO);
         assert_eq!(probe.size, CONTROL_BYTES);
-        let pfc = Packet::pfc(1, 2, 0, true);
+        let pfc = PktHeader::pfc(1, 2, 0, true);
         assert_eq!(pfc.size, CONTROL_BYTES);
         assert!(pfc.kind.is_pfc());
         assert!(!probe.kind.is_data());
     }
 
-    fn pkt(seq: u64) -> Packet {
-        Packet::data(0, 1, 2, 0, 1000, seq, Time::ZERO)
+    fn pkt(seq: u64) -> PktHeader {
+        PktHeader::data(0, 1, 2, 0, 1000, seq, Time::ZERO)
     }
 
     #[test]
     fn arena_reuses_slots_strictly_lifo() {
         let mut a = PacketArena::new();
-        let ids: Vec<PacketId> = (0..4).map(|i| a.alloc(pkt(i))).collect();
+        let ids: Vec<PacketId> = (0..4).map(|i| a.alloc(pkt(i), None)).collect();
         assert_eq!(ids, vec![PacketId(0), PacketId(1), PacketId(2), PacketId(3)]);
         assert_eq!(a.capacity(), 4);
         // Free 1 then 3: LIFO hands back 3 first, then 1, then grows.
         a.release(ids[1]);
         a.release(ids[3]);
         assert_eq!(a.live_count(), 2);
-        assert_eq!(a.alloc(pkt(10)), PacketId(3));
-        assert_eq!(a.alloc(pkt(11)), PacketId(1));
-        assert_eq!(a.alloc(pkt(12)), PacketId(4));
+        assert_eq!(a.alloc(pkt(10), None), PacketId(3));
+        assert_eq!(a.alloc(pkt(11), None), PacketId(1));
+        assert_eq!(a.alloc(pkt(12), None), PacketId(4));
         assert_eq!(a.get(PacketId(3)).seq, 10);
         assert_eq!(a.get(PacketId(1)).seq, 11);
         let s = a.stats();
@@ -902,7 +796,7 @@ mod tests {
     #[should_panic(expected = "double free")]
     fn arena_rejects_double_free() {
         let mut a = PacketArena::new();
-        let id = a.alloc(pkt(0));
+        let id = a.alloc(pkt(0), None);
         a.release(id);
         a.release(id);
     }
@@ -916,14 +810,14 @@ mod tests {
             ts: Time::from_us(1),
             rate_bps: 100,
         };
-        let id = a.alloc(pkt(0));
+        let id = a.alloc(pkt(0), None);
         a.append_int(id, hop);
         a.append_int(id, hop);
         assert_eq!(a.int(id).unwrap().len(), 2);
         assert_eq!(a.stats().int_allocs, 1);
         // Release returns the (cleared) box to the recycle stack...
         a.release(id);
-        let id2 = a.alloc(pkt(1));
+        let id2 = a.alloc(pkt(1), None);
         a.append_int(id2, hop);
         // ...so the second packet's INT path is served without a fresh box
         // and starts empty.
@@ -933,7 +827,7 @@ mod tests {
         let boxed = a.take_int(id2).unwrap();
         a.recycle_int(boxed);
         a.release(id2);
-        let id3 = a.alloc(pkt(2));
+        let id3 = a.alloc(pkt(2), None);
         a.append_int(id3, hop);
         assert_eq!(a.stats().int_allocs, 1, "steady state allocates no boxes");
         a.check().expect("arena internally consistent");
@@ -951,7 +845,10 @@ mod tests {
             nack: Some((1024, 2048)),
             int: None,
         };
-        let id = a.alloc(Packet::ack(7, 1, 2, 3, info, false, Time::from_us(9)));
+        let id = a.alloc(
+            PktHeader::ack(7, 1, 2, 3, false, Time::from_us(9)),
+            Some(info),
+        );
         // Hot header carries the tag and wire fields only.
         assert_eq!(a.get(id).kind, PktTag::Ack);
         assert!(a.get(id).kind.is_control());
@@ -972,13 +869,13 @@ mod tests {
             nack: None,
             int: None,
         };
-        let pa = a.alloc(Packet::ack(7, 1, 2, 3, info2, true, Time::ZERO));
+        let pa = a.alloc(PktHeader::ack(7, 1, 2, 3, true, Time::ZERO), Some(info2));
         assert_eq!(a.get(pa).kind, PktTag::ProbeAck);
         assert!(a.take_ack(pa).is_some());
-        let d = a.alloc(pkt(0));
+        let d = a.alloc(pkt(0), None);
         assert!(a.take_ack(d).is_none());
         assert_eq!(a.get(d).kind, PktTag::Data);
-        let f = a.alloc(Packet::pfc(1, 2, 4, true));
+        let f = a.alloc(PktHeader::pfc(1, 2, 4, true), None);
         assert_eq!(a.get(f).kind, PktTag::Pfc { prio: 4, pause: true });
         a.release(pa);
         a.release(d);
@@ -1000,10 +897,10 @@ mod tests {
             nack: None,
             int: None,
         };
-        let id = a.alloc(Packet::ack(0, 1, 2, 0, info, false, Time::ZERO));
+        let id = a.alloc(PktHeader::ack(0, 1, 2, 0, false, Time::ZERO), Some(info));
         a.release(id);
         a.check().expect("freed slot owns no cold state");
-        let id2 = a.alloc(pkt(0));
+        let id2 = a.alloc(pkt(0), None);
         assert_eq!(id2, id, "LIFO reuse of the freed slot");
         assert!(a.take_ack(id2).is_none(), "no payload leaks across tenants");
     }

@@ -1,64 +1,51 @@
 //! Shortest-path ECMP routing.
 //!
-//! Routes are precomputed: for every (node, destination host) pair we store
-//! every port that lies on a shortest path. Per-flow ECMP picks one port by
-//! hashing the flow id with the node id, so a flow is pinned to one path
-//! (no reordering from multipathing) while flows spread across paths.
+//! Routes are precomputed: for every (node, destination host) pair the
+//! table yields every port that lies on a shortest path. Per-flow ECMP
+//! picks one port by hashing the flow id with the node id, so a flow is
+//! pinned to one path (no reordering from multipathing) while flows spread
+//! across paths.
 //!
-//! Two table representations share one query interface:
+//! The table is ToR-compressed. Every host has a single NIC (asserted by
+//! `Sim::new`), so the routes to a host equal the routes to its attachment
+//! (ToR) switch plus the ToR's down-port to it. One BFS per *ToR* over the
+//! switch-only graph gives O(switches × ToRs) rows: at a k=16 fat-tree that
+//! is 320×128 rows instead of 1344×1024 for a dense `next[node][dst]`
+//! table, and at the 3-tier WAN topology ~0.4M rows instead of ~1.1G.
 //!
-//! - **Exact**: a dense `next[node][dst]` table, built by one reverse BFS
-//!   per destination host. O(nodes × hosts) storage — fine up to a few
-//!   hundred nodes, and the historical representation, so its candidate
-//!   *order* is load-bearing (golden traces pin ECMP picks).
-//! - **ToR-compressed**: for hyperscale topologies (above
-//!   [`RoutingTable::COMPRESS_THRESHOLD`] nodes), exploit that every host
-//!   has a single NIC: routes to a host equal routes to its attachment
-//!   (ToR) switch plus the ToR's down-port. One BFS per *ToR* over the
-//!   switch-only graph gives O(switches × ToRs) storage — at a k=16
-//!   fat-tree that is 320×128 rows instead of 1344×1024, and at the 3-tier
-//!   WAN topology ~0.4M rows instead of ~1.1G.
-//!
-//! Both builders expand the frontier in the same (node-ascending,
-//! port-ascending) order, so the per-(node, dst) candidate lists — and
-//! therefore every ECMP pick — are identical between representations
-//! (pinned by `compressed_matches_exact_*` tests below).
+//! The BFS expands its frontier in (node-ascending, port-ascending) order,
+//! so each candidate list has the same *order* a dense per-host BFS would
+//! produce. That order is load-bearing: golden traces pin ECMP picks. The
+//! tests keep the dense builder as an oracle and check the two agree on
+//! every topology constructor.
 
 use crate::packet::{FlowId, NodeId};
 
 /// Precomputed next-hop table.
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
-    table: Table,
+    /// Node -> dense switch row in `next` (`u32::MAX` for hosts).
+    sw_row: Vec<u32>,
+    /// Node -> where the host attaches (meaningful only at host indices).
+    attach: Vec<Attach>,
+    num_tors: usize,
+    /// `next[sw_row * num_tors + tor_col]` = candidate ports.
+    next: Vec<Vec<u16>>,
     salt: u64,
 }
 
-#[derive(Clone, Debug)]
-enum Table {
-    /// `next[node][dst]` = ports on shortest paths from `node` to host `dst`.
-    Exact(Vec<Vec<Vec<u16>>>),
-    Compressed(Compressed),
-}
-
-/// ToR-compressed representation: per-switch rows keyed by dense ToR index,
-/// plus O(hosts) attachment metadata.
-#[derive(Clone, Debug)]
-struct Compressed {
-    n: usize,
-    is_host: Vec<bool>,
-    /// Host -> its single egress port (valid only at host indices).
-    host_up: Vec<u16>,
-    /// Host -> its attachment (ToR) switch (valid only at host indices).
-    tor_of: Vec<NodeId>,
-    /// Host -> the ToR's down-port to this host (valid only at host indices).
-    tor_down: Vec<u16>,
-    /// Node -> dense switch index (`u32::MAX` for hosts).
-    sw_idx: Vec<u32>,
-    /// Node -> dense ToR index (`u32::MAX` unless a host attaches here).
-    tor_idx: Vec<u32>,
-    num_tors: usize,
-    /// `next[sw_dense * num_tors + tor_dense]` = candidate ports.
-    next: Vec<Vec<u16>>,
+/// A single-NIC host's attachment: everything a lookup needs about the
+/// destination host in one record.
+#[derive(Clone, Copy, Debug, Default)]
+struct Attach {
+    /// The host's only egress port.
+    up: u16,
+    /// The ToR's down-port to this host.
+    down: u16,
+    /// The attachment (ToR) switch.
+    tor: NodeId,
+    /// The ToR's dense column in `next`.
+    col: u32,
 }
 
 fn mix(mut x: u64) -> u64 {
@@ -84,23 +71,148 @@ fn reverse_adj(adj: &[Vec<(u16, NodeId)>]) -> Vec<Vec<(NodeId, u16)>> {
 }
 
 impl RoutingTable {
-    /// Node count above which the ToR-compressed representation is used.
-    /// Everything at or below stays on the exact dense table (all golden
-    /// and e2e topologies are far below this).
-    pub const COMPRESS_THRESHOLD: usize = 512;
-
     /// Build from an adjacency list: `adj[node]` = `(port, peer)` pairs.
-    /// `is_host[node]` marks hosts (BFS roots; hosts never forward).
+    /// `is_host[node]` marks hosts (hosts never forward).
+    ///
+    /// # Panics
+    /// Panics unless every host has exactly one NIC, attached to a switch.
     pub fn build(adj: &[Vec<(u16, NodeId)>], is_host: &[bool], salt: u64) -> Self {
-        if adj.len() > Self::COMPRESS_THRESHOLD {
-            Self::build_compressed(adj, is_host, salt)
-        } else {
-            Self::build_exact(adj, is_host, salt)
+        let n = adj.len();
+        let radj = reverse_adj(adj);
+
+        let mut attach = vec![Attach::default(); n];
+        let mut tor_col = vec![u32::MAX; n];
+        let mut sw_row = vec![u32::MAX; n];
+        let mut num_tors = 0usize;
+        let mut num_sw = 0usize;
+        for (node, h) in is_host.iter().enumerate() {
+            if !*h {
+                sw_row[node] = num_sw as u32;
+                num_sw += 1;
+            }
+        }
+        for (node, h) in is_host.iter().enumerate() {
+            if !*h {
+                continue;
+            }
+            assert_eq!(
+                adj[node].len(),
+                1,
+                "routing requires single-NIC hosts (host {node} has {} ports)",
+                adj[node].len()
+            );
+            let (up, tor) = adj[node][0];
+            assert!(!is_host[tor as usize], "host {node} attaches to host {tor}");
+            // The ToR's port back down to this host.
+            let down = adj[tor as usize]
+                .iter()
+                .find(|&&(_, peer)| peer as usize == node)
+                .map(|&(port, _)| port)
+                .expect("host link must be bidirectional");
+            if tor_col[tor as usize] == u32::MAX {
+                tor_col[tor as usize] = num_tors as u32;
+                num_tors += 1;
+            }
+            attach[node] = Attach {
+                up,
+                down,
+                tor,
+                col: tor_col[tor as usize],
+            };
+        }
+
+        // One BFS per ToR over the switch-only graph, expanding in
+        // (node-ascending, port-order) sequence so the candidate lists come
+        // out in the dense builder's order.
+        let mut next = vec![Vec::new(); num_sw * num_tors];
+        let mut dist = vec![u32::MAX; n];
+        for (tor, &col) in tor_col.iter().enumerate() {
+            if col == u32::MAX {
+                continue;
+            }
+            let col = col as usize;
+            dist.iter_mut().for_each(|d| *d = u32::MAX);
+            dist[tor] = 0;
+            let mut frontier = vec![tor];
+            while !frontier.is_empty() {
+                let mut nf = Vec::new();
+                for &u in &frontier {
+                    for &(node, port) in &radj[u] {
+                        let node = node as usize;
+                        if is_host[node] {
+                            continue;
+                        }
+                        let slot = sw_row[node] as usize * num_tors + col;
+                        let cand = dist[u] + 1;
+                        if dist[node] > cand {
+                            if dist[node] == u32::MAX {
+                                nf.push(node);
+                            }
+                            dist[node] = cand;
+                            next[slot].clear();
+                            next[slot].push(port);
+                        } else if dist[node] == cand && !next[slot].contains(&port) {
+                            next[slot].push(port);
+                        }
+                    }
+                }
+                frontier = nf;
+            }
+        }
+
+        RoutingTable {
+            sw_row,
+            attach,
+            num_tors,
+            next,
+            salt,
         }
     }
 
-    /// Dense-table builder (the historical representation).
-    fn build_exact(adj: &[Vec<(u16, NodeId)>], is_host: &[bool], salt: u64) -> Self {
+    /// All ECMP candidate ports at `node` toward host `dst`.
+    pub fn candidates(&self, node: NodeId, dst: NodeId) -> &[u16] {
+        let dst_u = dst as usize;
+        if node == dst || self.sw_row[dst_u] != u32::MAX {
+            return &[];
+        }
+        let row = self.sw_row[node as usize];
+        if row == u32::MAX {
+            // Single-NIC host: its only port is the route to everything
+            // else.
+            return std::slice::from_ref(&self.attach[node as usize].up);
+        }
+        let a = &self.attach[dst_u];
+        if node == a.tor {
+            return std::slice::from_ref(&a.down);
+        }
+        &self.next[row as usize * self.num_tors + a.col as usize]
+    }
+
+    /// The ECMP-selected port for `flow` at `node` toward `dst`.
+    ///
+    /// # Panics
+    /// Panics when `dst` is unreachable from `node`.
+    pub fn port_for(&self, node: NodeId, dst: NodeId, flow: FlowId) -> u16 {
+        let cands = self.candidates(node, dst);
+        assert!(!cands.is_empty(), "no route from node {node} to host {dst}");
+        if cands.len() == 1 {
+            return cands[0];
+        }
+        let h = mix(self.salt ^ (flow as u64) << 20 ^ node as u64);
+        cands[(h % cands.len() as u64) as usize]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::topology::{NodeKind, ThreeTierWanSpec, Topology};
+    use simcore::{Rate, Time};
+
+    /// Dense `next[node][dst]` oracle: one reverse BFS per destination
+    /// host over the whole graph, no single-NIC assumption. Checks the
+    /// ToR-compressed table's candidate lists, order included.
+    fn build_exact(adj: &[Vec<(u16, NodeId)>], is_host: &[bool]) -> Vec<Vec<Vec<u16>>> {
         let n = adj.len();
         let radj = reverse_adj(adj);
         let mut next = vec![vec![Vec::new(); n]; n];
@@ -120,7 +232,6 @@ impl RoutingTable {
                         let node = node as usize;
                         let cand = dist[u] + 1;
                         if dist[node] > cand {
-                            // First time reached: record distance.
                             if dist[node] == u32::MAX {
                                 nf.push(node);
                             }
@@ -135,172 +246,12 @@ impl RoutingTable {
                 frontier = nf;
             }
         }
-        RoutingTable {
-            table: Table::Exact(next),
-            salt,
-        }
+        next
     }
 
-    /// ToR-compressed builder. Requires every host to have exactly one NIC
-    /// (already asserted by `Sim::new`) and a connected switch fabric.
-    fn build_compressed(adj: &[Vec<(u16, NodeId)>], is_host: &[bool], salt: u64) -> Self {
-        let n = adj.len();
-        let radj = reverse_adj(adj);
-
-        let mut host_up = vec![0u16; n];
-        let mut tor_of = vec![0 as NodeId; n];
-        let mut tor_down = vec![0u16; n];
-        let mut tor_idx = vec![u32::MAX; n];
-        let mut sw_idx = vec![u32::MAX; n];
-        let mut num_tors = 0usize;
-        let mut num_sw = 0usize;
-        for (node, h) in is_host.iter().enumerate() {
-            if !*h {
-                sw_idx[node] = num_sw as u32;
-                num_sw += 1;
-            }
-        }
-        for (node, h) in is_host.iter().enumerate() {
-            if !*h {
-                continue;
-            }
-            assert_eq!(
-                adj[node].len(),
-                1,
-                "compressed routing requires single-NIC hosts (host {node} has {} ports)",
-                adj[node].len()
-            );
-            let (up_port, tor) = adj[node][0];
-            assert!(
-                !is_host[tor as usize],
-                "host {node} attaches to host {tor}"
-            );
-            host_up[node] = up_port;
-            tor_of[node] = tor;
-            // The ToR's port back down to this host.
-            let down = adj[tor as usize]
-                .iter()
-                .find(|&&(_, peer)| peer as usize == node)
-                .map(|&(port, _)| port)
-                .expect("host link must be bidirectional");
-            tor_down[node] = down;
-            if tor_idx[tor as usize] == u32::MAX {
-                tor_idx[tor as usize] = num_tors as u32;
-                num_tors += 1;
-            }
-        }
-
-        // One BFS per ToR over the switch-only graph, expanding in the same
-        // (node-ascending, port-order) sequence as the exact builder so the
-        // candidate lists come out identical.
-        let mut next = vec![Vec::new(); num_sw * num_tors];
-        let mut dist = vec![u32::MAX; n];
-        for (tor, _) in is_host.iter().enumerate() {
-            let ti = tor_idx[tor];
-            if ti == u32::MAX {
-                continue;
-            }
-            let ti = ti as usize;
-            dist.iter_mut().for_each(|d| *d = u32::MAX);
-            dist[tor] = 0;
-            let mut frontier = vec![tor];
-            while !frontier.is_empty() {
-                let mut nf = Vec::new();
-                for &u in &frontier {
-                    for &(node, port) in &radj[u] {
-                        let node = node as usize;
-                        if is_host[node] {
-                            continue;
-                        }
-                        let slot = sw_idx[node] as usize * num_tors + ti;
-                        let cand = dist[u] + 1;
-                        if dist[node] > cand {
-                            if dist[node] == u32::MAX {
-                                nf.push(node);
-                            }
-                            dist[node] = cand;
-                            next[slot].clear();
-                            next[slot].push(port);
-                        } else if dist[node] == cand && !next[slot].contains(&port) {
-                            next[slot].push(port);
-                        }
-                    }
-                }
-                frontier = nf;
-            }
-        }
-
-        RoutingTable {
-            table: Table::Compressed(Compressed {
-                n,
-                is_host: is_host.to_vec(),
-                host_up,
-                tor_of,
-                tor_down,
-                sw_idx,
-                tor_idx,
-                num_tors,
-                next,
-            }),
-            salt,
-        }
+    fn host_mask(t: &Topology) -> Vec<bool> {
+        t.kinds.iter().map(|k| *k == NodeKind::Host).collect()
     }
-
-    /// All ECMP candidate ports at `node` toward host `dst`.
-    pub fn candidates(&self, node: NodeId, dst: NodeId) -> &[u16] {
-        match &self.table {
-            Table::Exact(next) => &next[node as usize][dst as usize],
-            Table::Compressed(c) => {
-                let node_u = node as usize;
-                let dst_u = dst as usize;
-                if node == dst || !c.is_host[dst_u] {
-                    return &[];
-                }
-                if c.is_host[node_u] {
-                    // Single-NIC host: its only port is the route to
-                    // everything else.
-                    return std::slice::from_ref(&c.host_up[node_u]);
-                }
-                let tor = c.tor_of[dst_u];
-                if node == tor {
-                    return std::slice::from_ref(&c.tor_down[dst_u]);
-                }
-                &c.next[c.sw_idx[node_u] as usize * c.num_tors + c.tor_idx[tor as usize] as usize]
-            }
-        }
-    }
-
-    /// The ECMP-selected port for `flow` at `node` toward `dst`.
-    ///
-    /// # Panics
-    /// Panics when `dst` is unreachable from `node`.
-    pub fn port_for(&self, node: NodeId, dst: NodeId, flow: FlowId) -> u16 {
-        let cands = self.candidates(node, dst);
-        assert!(!cands.is_empty(), "no route from node {node} to host {dst}");
-        if cands.len() == 1 {
-            return cands[0];
-        }
-        let h = mix(self.salt ^ (flow as u64) << 20 ^ node as u64);
-        cands[(h % cands.len() as u64) as usize]
-    }
-
-    /// Number of nodes the table was built for.
-    pub fn num_nodes(&self) -> usize {
-        match &self.table {
-            Table::Exact(next) => next.len(),
-            Table::Compressed(c) => c.n,
-        }
-    }
-
-    /// True when the ToR-compressed representation is in use.
-    pub fn is_compressed(&self) -> bool {
-        matches!(self.table, Table::Compressed(_))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     /// A 4-node line: h0 - s1 - s2 - h3 (hosts at the ends).
     fn line() -> (Vec<Vec<(u16, NodeId)>>, Vec<bool>) {
@@ -325,28 +276,46 @@ mod tests {
         assert_eq!(rt.port_for(1, 0, 7), 0);
     }
 
-    /// Two hosts connected through two parallel switches (ECMP diamond):
-    /// h0 -(0)-> s1 / s2 -> h3, with h0 ports 0,1 and h3 ports 0,1.
-    fn diamond() -> (Vec<Vec<(u16, NodeId)>>, Vec<bool>) {
-        let adj = vec![
-            vec![(0, 1), (1, 2)], // h0 -> s1, s2
-            vec![(0, 0), (1, 3)], // s1
-            vec![(0, 0), (1, 3)], // s2
-            vec![(0, 1), (1, 2)], // h3 -> s1, s2
-        ];
-        let is_host = vec![true, false, false, true];
+    /// A single-NIC switch fan: h0 - s1 - {s2..s(n+1)} - s(n+2) - h(n+3).
+    /// The ingress switch `FAN_IN` = s1 reaches the far host over `n`
+    /// equal-cost paths; its port 0 faces h0 and ports `1..=n` the middle
+    /// switches.
+    fn fan(n: usize) -> (Vec<Vec<(u16, NodeId)>>, Vec<bool>) {
+        let s_out = (n + 2) as NodeId;
+        let dst = (n + 3) as NodeId;
+        let mut adj = vec![Vec::new(); n + 4];
+        adj[0] = vec![(0, FAN_IN)];
+        adj[FAN_IN as usize].push((0, 0));
+        for i in 0..n {
+            let mid = (i + 2) as NodeId;
+            let p = adj[FAN_IN as usize].len() as u16;
+            adj[FAN_IN as usize].push((p, mid));
+            adj[mid as usize] = vec![(0, FAN_IN), (1, s_out)];
+            let p = adj[s_out as usize].len() as u16;
+            adj[s_out as usize].push((p, mid));
+        }
+        let p = adj[s_out as usize].len() as u16;
+        adj[s_out as usize].push((p, dst));
+        adj[dst as usize] = vec![(0, s_out)];
+        let mut is_host = vec![false; n + 4];
+        is_host[0] = true;
+        is_host[dst as usize] = true;
         (adj, is_host)
     }
 
+    const FAN_IN: NodeId = 1;
+    /// The far host of `fan(8)`.
+    const FAN8_DST: NodeId = 11;
+
     #[test]
     fn ecmp_uses_both_paths_and_is_per_flow_stable() {
-        let (adj, is_host) = diamond();
+        let (adj, is_host) = fan(2);
         let rt = RoutingTable::build(&adj, &is_host, 42);
-        assert_eq!(rt.candidates(0, 3).len(), 2);
+        assert_eq!(rt.candidates(FAN_IN, 5).len(), 2);
         let mut used = std::collections::BTreeSet::new();
         for f in 0..64u32 {
-            let p = rt.port_for(0, 3, f);
-            assert_eq!(p, rt.port_for(0, 3, f), "per-flow stability");
+            let p = rt.port_for(FAN_IN, 5, f);
+            assert_eq!(p, rt.port_for(FAN_IN, 5, f), "per-flow stability");
             used.insert(p);
         }
         assert_eq!(used.len(), 2, "both ECMP paths used across flows");
@@ -355,29 +324,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "no route")]
     fn unreachable_panics() {
-        let adj = vec![vec![], vec![]];
-        let is_host = vec![true, true];
+        // h0 - s1 and h2 - s3, with no link between the two switches.
+        let adj = vec![vec![(0, 1)], vec![(0, 0)], vec![(0, 3)], vec![(0, 2)]];
+        let is_host = vec![true, false, true, false];
         let rt = RoutingTable::build(&adj, &is_host, 0);
-        rt.port_for(0, 1, 0);
-    }
-
-    /// Two hosts joined by `n` parallel 2-hop paths (a wide ECMP fan):
-    /// h0 - {s1..sn} - h(n+1).
-    fn fan(n: usize) -> (Vec<Vec<(u16, NodeId)>>, Vec<bool>) {
-        let dst = (n + 1) as NodeId;
-        let mut adj = vec![Vec::new(); n + 2];
-        for i in 0..n {
-            let sw = (i + 1) as NodeId;
-            let p = adj[0].len() as u16;
-            adj[0].push((p, sw));
-            adj[sw as usize] = vec![(0, 0), (1, dst)];
-            let p = adj[dst as usize].len() as u16;
-            adj[dst as usize].push((p, sw));
-        }
-        let mut is_host = vec![false; n + 2];
-        is_host[0] = true;
-        is_host[dst as usize] = true;
-        (adj, is_host)
+        rt.port_for(1, 2, 0);
     }
 
     #[test]
@@ -389,7 +340,11 @@ mod tests {
         let a = RoutingTable::build(&adj, &is_host, 1234);
         let b = RoutingTable::build(&adj, &is_host, 1234);
         for f in 0..256u32 {
-            assert_eq!(a.port_for(0, 9, f), b.port_for(0, 9, f), "flow {f}");
+            assert_eq!(
+                a.port_for(FAN_IN, FAN8_DST, f),
+                b.port_for(FAN_IN, FAN8_DST, f),
+                "flow {f}"
+            );
         }
     }
 
@@ -397,19 +352,19 @@ mod tests {
     fn wide_fan_coverage_is_roughly_balanced() {
         let (adj, is_host) = fan(8);
         let rt = RoutingTable::build(&adj, &is_host, 7);
-        assert_eq!(rt.candidates(0, 9).len(), 8);
+        assert_eq!(rt.candidates(FAN_IN, FAN8_DST), &[1, 2, 3, 4, 5, 6, 7, 8]);
         let mut count = [0usize; 8];
         const FLOWS: usize = 1024;
         for f in 0..FLOWS as u32 {
-            count[rt.port_for(0, 9, f) as usize] += 1;
+            count[rt.port_for(FAN_IN, FAN8_DST, f) as usize - 1] += 1;
         }
         // Every path is used, and no path gets less than a quarter or more
         // than double its fair share (a loose bound; the hash is not
         // cryptographic but must not collapse onto a few ports).
         let fair = FLOWS / 8;
         for (p, &c) in count.iter().enumerate() {
-            assert!(c >= fair / 4, "port {p} starved: {c}/{FLOWS}");
-            assert!(c <= fair * 2, "port {p} overloaded: {c}/{FLOWS}");
+            assert!(c >= fair / 4, "path {p} starved: {c}/{FLOWS}");
+            assert!(c <= fair * 2, "path {p} overloaded: {c}/{FLOWS}");
         }
     }
 
@@ -419,7 +374,7 @@ mod tests {
         let a = RoutingTable::build(&adj, &is_host, 1);
         let b = RoutingTable::build(&adj, &is_host, 2);
         let moved = (0..256u32)
-            .filter(|&f| a.port_for(0, 9, f) != b.port_for(0, 9, f))
+            .filter(|&f| a.port_for(FAN_IN, FAN8_DST, f) != b.port_for(FAN_IN, FAN8_DST, f))
             .count();
         assert!(moved > 64, "changing the salt moved only {moved}/256 flows");
     }
@@ -430,18 +385,8 @@ mod tests {
         // switch, a remote-pod host is reachable through every aggregation
         // switch of the pod (k/2 ways); a directly attached host has exactly
         // one port; an aggregation switch fans out over k/2 cores.
-        let t = crate::topology::Topology::fat_tree(
-            4,
-            simcore::Rate::from_gbps(100),
-            simcore::Time::from_us(1),
-        );
-        let adj = t.adjacency();
-        let is_host: Vec<bool> = t
-            .kinds
-            .iter()
-            .map(|k| *k == crate::topology::NodeKind::Host)
-            .collect();
-        let rt = RoutingTable::build(&adj, &is_host, 0);
+        let t = Topology::fat_tree(4, Rate::from_gbps(100), Time::from_us(1));
+        let rt = RoutingTable::build(&t.adjacency(), &host_mask(&t), 0);
         // Layout: 16 hosts, then per pod edges followed by aggs:
         // pod 0 edges 16,17 aggs 18,19; pod 1 edges 20,21 aggs 22,23; ...
         let pod0_edge = 16 as NodeId;
@@ -466,23 +411,17 @@ mod tests {
         assert_eq!(used.len(), 2, "both edge uplinks carry traffic");
     }
 
-    /// Ordered candidate-list equality between the exact and compressed
-    /// builders on every (node, host-dst) pair of a topology.
-    fn assert_modes_agree(t: &crate::topology::Topology, salt: u64) {
+    /// Ordered candidate-list equality between the dense oracle and the
+    /// ToR-compressed table on every (node, host-dst) pair of a topology.
+    fn assert_modes_agree(t: &Topology, salt: u64) {
         let adj = t.adjacency();
-        let is_host: Vec<bool> = t
-            .kinds
-            .iter()
-            .map(|k| *k == crate::topology::NodeKind::Host)
-            .collect();
-        let exact = RoutingTable::build_exact(&adj, &is_host, salt);
-        let comp = RoutingTable::build_compressed(&adj, &is_host, salt);
-        assert!(!exact.is_compressed() && comp.is_compressed());
-        let n = adj.len();
-        for dst in (0..n).filter(|&d| is_host[d]) {
-            for node in 0..n {
+        let is_host = host_mask(t);
+        let exact = build_exact(&adj, &is_host);
+        let comp = RoutingTable::build(&adj, &is_host, salt);
+        for dst in (0..adj.len()).filter(|&d| is_host[d]) {
+            for (node, row) in exact.iter().enumerate() {
                 assert_eq!(
-                    exact.candidates(node as NodeId, dst as NodeId),
+                    row[dst].as_slice(),
                     comp.candidates(node as NodeId, dst as NodeId),
                     "candidate order diverged at node {node} -> dst {dst}"
                 );
@@ -492,45 +431,44 @@ mod tests {
 
     #[test]
     fn compressed_matches_exact_fat_tree() {
-        let t = crate::topology::Topology::fat_tree(
-            4,
-            simcore::Rate::from_gbps(100),
-            simcore::Time::from_us(1),
-        );
-        assert_modes_agree(&t, 0x5EED);
+        for k in [4, 6, 8] {
+            let t = Topology::fat_tree(k, Rate::from_gbps(100), Time::from_us(1));
+            assert_modes_agree(&t, 0x5EED);
+        }
     }
 
     #[test]
     fn compressed_matches_exact_leaf_spine() {
-        let t = crate::topology::Topology::leaf_spine(
+        let t = Topology::leaf_spine(
             4,
             3,
             4,
-            simcore::Rate::from_gbps(100),
-            simcore::Rate::from_gbps(400),
-            simcore::Time::from_us(1),
+            Rate::from_gbps(100),
+            Rate::from_gbps(400),
+            Time::from_us(1),
         );
         assert_modes_agree(&t, 0xB0B);
     }
 
     #[test]
     fn compressed_matches_exact_testbed_tree() {
-        let t = crate::topology::Topology::testbed_tree();
-        assert_modes_agree(&t, 7);
+        assert_modes_agree(&Topology::testbed_tree(), 7);
     }
 
     #[test]
     fn compressed_matches_exact_three_tier_wan_tiny() {
-        let t = crate::topology::Topology::three_tier_wan(
-            &crate::topology::ThreeTierWanSpec::tiny(),
-        );
-        assert_modes_agree(&t, 0xDC);
+        assert_modes_agree(&Topology::three_tier_wan(&ThreeTierWanSpec::tiny()), 0xDC);
     }
 
     #[test]
-    fn exact_mode_used_below_threshold() {
-        let (adj, is_host) = fan(8);
-        let rt = RoutingTable::build(&adj, &is_host, 0);
-        assert!(!rt.is_compressed(), "small topologies stay on exact mode");
+    fn compressed_matches_exact_single_switch_chain_ring() {
+        let (rate, prop) = (Rate::from_gbps(100), Time::from_us(1));
+        assert_modes_agree(&Topology::single_switch(8, rate, prop), 1);
+        for switches in [1, 2, 9] {
+            assert_modes_agree(&Topology::chain(switches, rate, prop), 2);
+        }
+        for n in [3, 4, 7] {
+            assert_modes_agree(&Topology::ring(n, rate, prop), 3);
+        }
     }
 }

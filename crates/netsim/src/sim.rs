@@ -5,9 +5,7 @@ use std::collections::BTreeMap;
 use simcore::stats::ThroughputMeter;
 use simcore::{EventQueue, Rate, ScheduledId, SimRng, Time};
 
-#[cfg(feature = "audit")]
-use crate::audit::{Audit, SwitchArrive, ViolationKind};
-use crate::audit::AuditConfig;
+use crate::audit::{Audit, AuditConfig, SwitchArrive, ViolationKind};
 use crate::config::{AckPriority, Buggify, SimConfig, SwitchConfig};
 use crate::faults::{FaultKind, FaultRuntime};
 use crate::fluid::FluidState;
@@ -15,7 +13,7 @@ use crate::monitor::{Monitor, MonitorKind};
 use crate::node::queue_index;
 use crate::node::{Admission, EgressPort, Host, Switch};
 use crate::packet::{
-    AckInfo, FlowId, IntHop, NodeId, Packet, PacketArena, PacketId, PktTag, CONTROL_BYTES,
+    AckInfo, FlowId, IntHop, NodeId, PacketArena, PacketId, PktHeader, PktTag, CONTROL_BYTES,
     HEADER_BYTES,
 };
 use crate::record::{FlowRecord, FlowTrace, SimCounters, SimResult, StreamingStats};
@@ -285,7 +283,6 @@ pub struct Sim {
     pub(crate) started: bool,
     /// Invariant-audit state; `None` keeps the hot path to one branch per
     /// hook. Boxed so the disabled case costs a single word.
-    #[cfg(feature = "audit")]
     pub(crate) audit: Option<Box<Audit>>,
 }
 
@@ -418,7 +415,6 @@ impl Sim {
             fluid_epoch: None,
             faults,
             started: false,
-            #[cfg(feature = "audit")]
             audit: if crate::audit::env_enabled() {
                 // simlint::allow(hot-path-alloc, one audit box per run at construction, not per event)
                 Some(Box::new(Audit::new(AuditConfig {
@@ -432,32 +428,20 @@ impl Sim {
         }
     }
 
-    /// Enable the invariant-audit layer with default settings. No-op when
-    /// the `audit` feature is compiled out.
+    /// Enable the invariant-audit layer with default settings.
     pub fn enable_audit(&mut self) {
         self.enable_audit_with(AuditConfig::default());
     }
 
-    /// Enable the invariant-audit layer with explicit settings. No-op when
-    /// the `audit` feature is compiled out.
+    /// Enable the invariant-audit layer with explicit settings.
     pub fn enable_audit_with(&mut self, cfg: AuditConfig) {
-        #[cfg(feature = "audit")]
-        {
-            // simlint::allow(hot-path-alloc, one audit box per run at enablement, not per event)
-            self.audit = Some(Box::new(Audit::new(cfg)));
-        }
-        #[cfg(not(feature = "audit"))]
-        let _ = cfg;
+        // simlint::allow(hot-path-alloc, one audit box per run at enablement, not per event)
+        self.audit = Some(Box::new(Audit::new(cfg)));
     }
 
-    /// True when the audit layer is compiled in and enabled for this run.
+    /// True when the audit layer is enabled for this run.
     pub fn audit_enabled(&self) -> bool {
-        #[cfg(feature = "audit")]
-        {
-            self.audit.is_some()
-        }
-        #[cfg(not(feature = "audit"))]
-        false
+        self.audit.is_some()
     }
 
     /// Install a closed-loop application driver. It sees completions from
@@ -674,21 +658,8 @@ impl Sim {
         };
         while let Some(ev) = self.queue.batch_next() {
             self.counters.events += 1;
-            #[cfg(feature = "audit")]
             if let Some(a) = self.audit.as_deref_mut() {
-                let (kind, id): (&'static str, u32) = match &ev {
-                    Event::Arrive { node, .. } => ("arrive", *node),
-                    Event::PortFree { node, .. } => ("port_free", *node),
-                    Event::FlowStart { flow } => ("flow_start", *flow),
-                    Event::FlowTimer { flow, .. } => ("flow_timer", *flow),
-                    Event::HostPoke { node } => ("host_poke", *node),
-                    Event::Sample { monitor } => ("sample", *monitor),
-                    Event::FluidEpoch => ("fluid_epoch", 0),
-                    Event::Fault { idx } => ("fault", *idx),
-                    Event::Inject => ("inject", 0),
-                    Event::End => ("end", 0),
-                };
-                a.on_event(now, kind, id);
+                a.on_event(now, &ev);
             }
             match ev {
                 Event::End => return false,
@@ -716,7 +687,6 @@ impl Sim {
                 }
                 self.app = Some(app);
             }
-            #[cfg(feature = "audit")]
             self.audit_boundary(now);
         }
         true
@@ -768,10 +738,7 @@ impl Sim {
         self.counters.flow_slab_slots = self.live.slots.len() as u64;
         self.counters.flows_reclaimed = self.live.reclaimed;
         self.counters.flow_live_bytes_peak = self.live.peak_bytes;
-        #[cfg(feature = "audit")]
         let audit = self.audit.take().map(|a| a.into_report());
-        #[cfg(not(feature = "audit"))]
-        let audit = None;
         // Streaming mode returns empty records: quantiles come from the
         // sketches, and cloning O(total flows) records would defeat the
         // point of streaming at hyperscale.
@@ -826,7 +793,6 @@ impl Sim {
     /// event touched, the Xoff-must-fire condition for an admission in this
     /// event, and (per [`AuditConfig::deep_every`]) a full recount of switch
     /// buffers, conservation, counters, and event-queue state.
-    #[cfg(feature = "audit")]
     fn audit_boundary(&mut self, now: Time) {
         let Some(mut a) = self.audit.take() else {
             return;
@@ -976,7 +942,6 @@ impl Sim {
     }
 
     fn on_flow_start(&mut self, flow: FlowId, now: Time) {
-        #[cfg(feature = "audit")]
         if let Some(a) = self.audit.as_deref_mut() {
             a.touch_flow(flow);
         }
@@ -1002,7 +967,6 @@ impl Sim {
         if !f.active {
             return;
         }
-        #[cfg(feature = "audit")]
         if let Some(a) = self.audit.as_deref_mut() {
             a.touch_flow(flow);
         }
@@ -1213,14 +1177,11 @@ impl Sim {
         };
         if is_data {
             self.counters.fault_link_drops += 1;
-            #[cfg(feature = "audit")]
             if self.switch_cfg.buggify != Some(Buggify::FaultDropUnaccounted) {
                 if let Some(a) = self.audit.as_deref_mut() {
                     a.on_link_drop(wire);
                 }
             }
-            #[cfg(not(feature = "audit"))]
-            let _ = wire;
         } else {
             self.counters.fault_ctrl_drops += 1;
         }
@@ -1330,11 +1291,12 @@ impl Sim {
             } else {
                 self.counters.pfc_resumes += 1;
             }
-            #[cfg(feature = "audit")]
             if let Some(a) = self.audit.as_deref_mut() {
                 a.on_pfc_frame(now, node, in_port, prio, pause);
             }
-            let pid = self.arena.alloc(Packet::pfc(node, peer, prio, pause));
+            let pid = self
+                .arena
+                .alloc(PktHeader::pfc(node, peer, prio, pause), None);
             self.queue.schedule(
                 now + prop,
                 Event::Arrive {
@@ -1390,14 +1352,15 @@ impl Sim {
             }
             return;
         }
-        let (dst, flow, is_data, data_q, dscp) = {
+        let (dst, flow, is_data, prio, dscp, wire) = {
             let pkt = self.arena.get(pid);
             (
                 pkt.dst,
                 pkt.flow,
                 pkt.kind.is_data(),
-                pkt.prio as usize,
+                pkt.prio,
                 pkt.dscp,
+                pkt.size as u64,
             )
         };
         let egress = self.routes.port_for(node, dst, flow);
@@ -1410,52 +1373,41 @@ impl Sim {
         let Node::Switch(s) = &mut self.nodes[node as usize] else {
             unreachable!()
         };
-        #[cfg(feature = "audit")]
-        let mut ecn_info = None;
-        if is_data {
-            #[cfg(feature = "audit")]
-            let q_pre = s.ports[egress as usize].queued_bytes_q[data_q] + fluid_occ;
-            let marked = s.ecn_mark(egress, data_q, dscp, fluid_occ, &mut self.ecn_rng);
-            if marked {
-                self.arena.get_mut(pid).ecn_ce = true;
-                self.counters.ecn_marks += 1;
+        // For the audit only: the egress queue depth ECN is compared
+        // against, read before admission changes it.
+        let q_pre = match self.audit {
+            Some(_) if is_data => {
+                s.ports[egress as usize].queued_bytes_q[prio as usize] + fluid_occ
             }
-            #[cfg(feature = "audit")]
-            {
-                ecn_info = Some((q_pre, dscp, marked));
-            }
-        }
-        #[cfg(feature = "audit")]
-        let info = SwitchArrive {
-            node,
-            in_port,
-            egress,
-            queue: queue_index(self.arena.get(pid).prio, s.ports[egress as usize].queues.len())
-                as u8,
-            wire: self.arena.get(pid).size as u64,
-            is_data,
-            dropped: false,
-            ecn: ecn_info,
-            fluid_occ,
+            _ => 0,
         };
+        let marked =
+            is_data && s.ecn_mark(egress, prio as usize, dscp, fluid_occ, &mut self.ecn_rng);
+        if marked {
+            self.arena.get_mut(pid).ecn_ce = true;
+            self.counters.ecn_marks += 1;
+        }
         let mut pauses = Vec::new();
         let admission = s.admit(egress, in_port, pid, fluid_occ, &mut self.arena, &mut pauses);
         // The `s` borrow ends here so the audit can re-inspect the switch.
-        #[cfg(feature = "audit")]
         if self.audit.is_some() {
             let Node::Switch(sw) = &self.nodes[node as usize] else {
                 unreachable!()
             };
+            let info = SwitchArrive {
+                node,
+                in_port,
+                egress,
+                queue: queue_index(prio, sw.ports[egress as usize].queues.len()) as u8,
+                wire,
+                is_data,
+                dropped: admission == Admission::Dropped,
+                ecn: is_data.then_some((q_pre, dscp, marked)),
+                fluid_occ,
+            };
             // simlint::allow(hot-path-unwrap, guarded by the audit.is_some() branch condition)
             let a = self.audit.as_deref_mut().expect("checked");
-            a.note_switch_arrive(
-                now,
-                &SwitchArrive {
-                    dropped: admission == Admission::Dropped,
-                    ..info
-                },
-                sw,
-            );
+            a.note_switch_arrive(now, &info, sw);
         }
         match admission {
             Admission::Dropped => {
@@ -1510,7 +1462,6 @@ impl Sim {
             }
             PktTag::Data => {
                 self.counters.data_delivered += 1;
-                #[cfg(feature = "audit")]
                 if let Some(a) = self.audit.as_deref_mut() {
                     let pkt = self.arena.get(pid);
                     a.on_data_delivered(now, pkt.flow, pkt.size as u64);
@@ -1537,8 +1488,8 @@ impl Sim {
                     int: None,
                 };
                 let prio = self.ack_prio(in_prio);
-                let ack = Packet::ack(flow, node, src, prio, info, true, now);
-                self.host_enqueue_control(node, ack, now);
+                let ack = PktHeader::ack(flow, node, src, prio, true, now);
+                self.host_enqueue_control(node, ack, info, now);
             }
             PktTag::Ack | PktTag::ProbeAck => {
                 debug_assert_eq!(self.arena.get(pid).dst, node, "ack misrouted");
@@ -1619,8 +1570,8 @@ impl Sim {
             int,
         };
         let prio = self.ack_prio(in_prio);
-        let ack = Packet::ack(fid, node, src, prio, info, false, now);
-        self.host_enqueue_control(node, ack, now);
+        let ack = PktHeader::ack(fid, node, src, prio, false, now);
+        self.host_enqueue_control(node, ack, info, now);
     }
 
     /// Sender-side handling of an ACK or probe echo. Consumes the arena
@@ -1632,7 +1583,6 @@ impl Sim {
             self.arena.release(pid);
             return;
         }
-        #[cfg(feature = "audit")]
         if let Some(a) = self.audit.as_deref_mut() {
             a.touch_flow(fid);
         }
@@ -1682,11 +1632,10 @@ impl Sim {
         if self.live.get(live).transport.is_finished() {
             let f = &mut self.flows[fid as usize];
             f.active = false;
-            let (src, prio) = (f.spec.src, f.spec.phys_prio);
-            if let Node::Host(h) = &mut self.nodes[src as usize] {
-                h.deactivate(prio, fid);
+            if let Node::Host(h) = &mut self.nodes[f.spec.src as usize] {
+                h.deactivate(f.spec.phys_prio, fid);
             }
-            self.release_flow_state(fid);
+            Self::release_flow_state(f, &mut self.live, self.switch_cfg.buggify);
         }
         self.host_poke(node, now);
     }
@@ -1694,25 +1643,22 @@ impl Sim {
     /// Release a finished flow's live-state slab slot, snapshotting the
     /// transport's retransmit count into the record first. The
     /// [`Buggify::FlowReclaimLeak`] self-test skips the release so the audit
-    /// deep scan's flow-state sweep can prove it notices the leak.
-    fn release_flow_state(&mut self, fid: FlowId) {
-        if self.switch_cfg.buggify == Some(Buggify::FlowReclaimLeak) {
-            return;
-        }
-        let f = &mut self.flows[fid as usize];
-        if f.live == u32::MAX {
+    /// deep scan's flow-state sweep can prove it notices the leak. Takes
+    /// the fields it touches rather than `&mut self`, so `host_poke` can
+    /// call it while its host borrow of `self.nodes` is live.
+    fn release_flow_state(f: &mut Flow, live: &mut FlowSlab, buggify: Option<Buggify>) {
+        if buggify == Some(Buggify::FlowReclaimLeak) || f.live == u32::MAX {
             return;
         }
         let slot = f.live;
         f.live = u32::MAX;
-        let fl = self.live.release(slot);
-        f.record.retransmits = fl.transport.retransmits();
+        f.record.retransmits = live.release(slot).transport.retransmits();
     }
 
-    /// Queue a locally generated control packet (ACK/probe echo) on the
-    /// host's NIC and kick transmission.
-    fn host_enqueue_control(&mut self, node: NodeId, pkt: Packet, now: Time) {
-        let pid = self.arena.alloc(pkt);
+    /// Queue a locally generated ACK or probe echo on the host's NIC and
+    /// kick transmission.
+    fn host_enqueue_control(&mut self, node: NodeId, ack: PktHeader, info: AckInfo, now: Time) {
+        let pid = self.arena.alloc(ack, Some(info));
         let Node::Host(h) = &mut self.nodes[node as usize] else {
             unreachable!()
         };
@@ -1766,7 +1712,7 @@ impl Sim {
                     TrySend::Data { seq, bytes } => {
                         let mut ctx = Self::ctx(&mut self.queue, &mut self.traces, now, fid);
                         fl.transport.on_sent(TrySend::Data { seq, bytes }, &mut ctx);
-                        let mut pkt = Packet::data(
+                        let mut pkt = PktHeader::data(
                             fid,
                             node,
                             f.spec.dst,
@@ -1776,21 +1722,20 @@ impl Sim {
                             now,
                         );
                         pkt.dscp = f.spec.virt_prio;
-                        #[cfg(feature = "audit")]
                         if let Some(a) = self.audit.as_deref_mut() {
                             a.on_data_injected(fid, pkt.size as u64);
                         }
                         h.rr[q] = (idx + 1) % len;
-                        selected = Some(self.arena.alloc(pkt));
+                        selected = Some(self.arena.alloc(pkt, None));
                         break;
                     }
                     TrySend::Probe => {
                         let mut ctx = Self::ctx(&mut self.queue, &mut self.traces, now, fid);
                         fl.transport.on_sent(TrySend::Probe, &mut ctx);
                         self.counters.probes += 1;
-                        let pkt = Packet::probe(fid, node, f.spec.dst, f.spec.phys_prio, now);
+                        let pkt = PktHeader::probe(fid, node, f.spec.dst, f.spec.phys_prio, now);
                         h.rr[q] = (idx + 1) % len;
-                        selected = Some(self.arena.alloc(pkt));
+                        selected = Some(self.arena.alloc(pkt, None));
                         break;
                     }
                     TrySend::NotBefore(t) => {
@@ -1804,17 +1749,7 @@ impl Sim {
                 let f = &mut self.flows[fid as usize];
                 f.active = false;
                 h.deactivate(q as u8, fid);
-                // Inline slab release (mirrors `release_flow_state`; `h`
-                // still borrows `self.nodes`, so the method can't be called
-                // here — the disjoint field accesses can).
-                if f.live != u32::MAX
-                    && self.switch_cfg.buggify != Some(Buggify::FlowReclaimLeak)
-                {
-                    let slot = f.live;
-                    f.live = u32::MAX;
-                    let fl = self.live.release(slot);
-                    f.record.retransmits = fl.transport.retransmits();
-                }
+                Self::release_flow_state(f, &mut self.live, self.switch_cfg.buggify);
             }
             if selected.is_some() {
                 break 'prio;

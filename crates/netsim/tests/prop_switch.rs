@@ -10,7 +10,7 @@
 //! the audit subsystem.
 
 use netsim::node::{queue_index, Admission, EgressPort, Switch};
-use netsim::packet::{Packet, PacketArena};
+use netsim::packet::{PacketArena, PktHeader};
 use netsim::{Buggify, SwitchConfig};
 use proptest::prelude::*;
 use simcore::{Rate, SimRng, Time};
@@ -55,8 +55,8 @@ fn decode(w: u64) -> Op {
     }
 }
 
-fn data_pkt(prio: u8, payload: u32, seq: u64) -> Packet {
-    Packet::data(0, 0, 1, prio, payload, seq, Time::ZERO)
+fn data_pkt(prio: u8, payload: u32, seq: u64) -> PktHeader {
+    PktHeader::data(0, 0, 1, prio, payload, seq, Time::ZERO)
 }
 
 /// Recount every queue of the switch from its actual contents and compare
@@ -116,7 +116,7 @@ fn step(
             let pkt = data_pkt(prio, payload, *seq);
             *seq += 1;
             let q = queue_index(pkt.prio, NQ);
-            let id = arena.alloc(pkt);
+            let id = arena.alloc(pkt, None);
             s.admit(port, in_port, id, 0, arena, &mut pauses);
             Some((in_port, q))
         }
@@ -233,7 +233,7 @@ proptest! {
                     let would_exceed =
                         s.ports[port as usize].queued_bytes_q[q] + wire > s.dt_limit(0);
                     let mut pauses = Vec::new();
-                    let id = arena.alloc(pkt);
+                    let id = arena.alloc(pkt, None);
                     let adm = s.admit(port, in_port, id, 0, &mut arena, &mut pauses);
                     prop_assert_eq!(
                         adm == Admission::Dropped,
@@ -267,7 +267,7 @@ proptest! {
         let mut rng = SimRng::new(rng_seed);
         for (seq, &payload) in fills.iter().enumerate() {
             let mut pauses = Vec::new();
-            let id = arena.alloc(data_pkt(0, payload, seq as u64));
+            let id = arena.alloc(data_pkt(0, payload, seq as u64), None);
             s.admit(0, 1, id, 0, &mut arena, &mut pauses);
             let q = s.ports[0].queued_bytes_q[0];
             let marked = s.ecn_mark(0, 0, 0, 0, &mut rng);
@@ -397,7 +397,7 @@ proptest! {
         let mut violated = false;
         for (i, &payload) in payloads.iter().enumerate() {
             let mut pauses = Vec::new();
-            let id = arena.alloc(data_pkt(0, payload, i as u64));
+            let id = arena.alloc(data_pkt(0, payload, i as u64), None);
             s.admit(0, 1, id, 0, &mut arena, &mut pauses);
             if s.ingress_bytes[1][0] > s.pfc_pause_threshold(0) && !s.ingress_paused[1][0] {
                 violated = true;
@@ -414,7 +414,7 @@ proptest! {
         let mut arena = PacketArena::new();
         for (i, &payload) in payloads.iter().enumerate() {
             let mut pauses = Vec::new();
-            let id = arena.alloc(data_pkt(0, payload, i as u64));
+            let id = arena.alloc(data_pkt(0, payload, i as u64), None);
             s.admit(0, 1, id, 0, &mut arena, &mut pauses);
         }
         let mut resumes = Vec::new();
